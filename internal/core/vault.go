@@ -255,43 +255,31 @@ func Open(cfg Config) (*Vault, error) {
 			return nil, fmt.Errorf("core: opening block store: %w", err)
 		}
 		if auditSt, err = blockstore.OpenFileFS(fsys, filepath.Join(cfg.Dir, "audit"), 0); err != nil {
+			_ = blockSt.Close()
 			return nil, fmt.Errorf("core: opening audit store: %w", err)
 		}
 		if provSt, err = blockstore.OpenFileFS(fsys, filepath.Join(cfg.Dir, "prov"), 0); err != nil {
+			_ = blockSt.Close()
+			_ = auditSt.Close()
 			return nil, fmt.Errorf("core: opening provenance store: %w", err)
 		}
 	}
 	v.blocks = blockSt
 	v.auditStore = auditSt
 	v.provStore = provSt
-
-	var err error
-	v.aud, err = audit.Open(audit.Config{
-		Store:              auditSt,
-		MACKey:             vcrypto.DeriveKey(cfg.Master, "vault/audit-mac"),
-		Signer:             signer,
-		Now:                now,
-		CheckpointInterval: cfg.AuditCheckpointInterval,
-	})
-	if err != nil {
-		return nil, err
-	}
-	v.prov, err = provenance.Open(provenance.Config{
-		Store:  provSt,
-		Signer: signer,
-		System: cfg.Name,
-		Now:    now,
-	})
-	if err != nil {
-		return nil, err
-	}
-
 	v.log = merkle.NewLog(signer, now)
 
-	if cfg.Dir != "" {
-		if err := v.recover(cfg.Master); err != nil {
-			return nil, err
+	if err := v.replay(cfg, now); err != nil {
+		if v.metaWAL != nil {
+			_ = v.metaWAL.Close()
 		}
+		_ = blockSt.Close()
+		_ = auditSt.Close()
+		_ = provSt.Close()
+		return nil, err
+	}
+
+	if cfg.Dir != "" {
 		// The flight sink is best-effort by design: a vault that cannot
 		// persist observability events still serves records. Segments go
 		// through v.fs — the same seam the vault's own data uses — so the
@@ -301,6 +289,59 @@ func Open(cfg Config) (*Vault, error) {
 		}
 	}
 	return v, nil
+}
+
+// replay rebuilds the vault's state from its stores. The three replays are
+// independent, so they run concurrently: the audit chain (every MAC) and
+// the custody chains (every signature, itself spread over all cores) on
+// their own goroutines, and — for a durable vault — metadata recovery on
+// the caller's. The audit and custody replays only read, so recover stays
+// the only code issuing mutating fs ops during Open, and the sequence of
+// those ops (the crash-injection points, the replication stream) is the
+// same as when the replays ran one after another. Errors are reported in
+// that old order: audit, then custody, then recovery.
+func (v *Vault) replay(cfg Config, now func() time.Time) error {
+	var (
+		wg              sync.WaitGroup
+		aud             *audit.Log
+		prov            *provenance.Tracker
+		audErr, provErr error
+	)
+	wg.Add(2)
+	go func() {
+		defer wg.Done()
+		aud, audErr = audit.Open(audit.Config{
+			Store:              v.auditStore,
+			MACKey:             vcrypto.DeriveKey(cfg.Master, "vault/audit-mac"),
+			Signer:             v.signer,
+			Now:                now,
+			CheckpointInterval: cfg.AuditCheckpointInterval,
+		})
+	}()
+	go func() {
+		defer wg.Done()
+		prov, provErr = provenance.Open(provenance.Config{
+			Store:  v.provStore,
+			Signer: v.signer,
+			System: cfg.Name,
+			Now:    now,
+		})
+	}()
+	var recErr error
+	if cfg.Dir != "" {
+		recErr = v.recover(cfg.Master)
+	}
+	wg.Wait()
+	for _, err := range []error{audErr, provErr, recErr} {
+		if err != nil {
+			return err
+		}
+	}
+	v.aud, v.prov = aud, prov
+	// The live-records gauge is process-local; account for what recovery
+	// just rebuilt so /metrics is truthful from the first scrape.
+	metLiveRecords.Add(float64(v.recovery.RecordsLive))
+	return nil
 }
 
 // RecoveryInfo describes what the last Open of a durable vault rebuilt.
@@ -330,9 +371,6 @@ func (v *Vault) recover(master vcrypto.Key) error {
 	}
 	v.metaWAL = w
 	v.recovery.RecordsLive = v.Len()
-	// The live-records gauge is process-local; account for what recovery
-	// just rebuilt so /metrics is truthful from the first scrape.
-	metLiveRecords.Add(float64(v.recovery.RecordsLive))
 	return nil
 }
 

@@ -231,9 +231,13 @@ func decodeFlightEvent(b []byte) (FlightEvent, bool) {
 const (
 	flightSegPrefix = "flight-"
 	flightSegSuffix = ".seg"
-	// flightKeepSegments bounds the on-disk footprint: opening a sink prunes
-	// the oldest segments beyond this count.
+	// flightKeepSegments and flightSegmentBytes bound the on-disk
+	// footprint to keep × cap: a sink rotates to the next numbered segment
+	// before a write would take the current one past the cap, and opening
+	// or rotating prunes the oldest segments beyond the keep count. At
+	// ~70 B per op a segment holds ~15k ops.
 	flightKeepSegments = 8
+	flightSegmentBytes = 1 << 20
 )
 
 // POSIX open flags, mirrored so obs does not import os for three constants
@@ -246,8 +250,9 @@ const (
 )
 
 // FlightSink persists events as CRC-framed segments under dir through the
-// faultfs seam. Every Open starts a fresh numbered segment, so the tail of
-// the highest-numbered segment is always the final moments of one boot.
+// faultfs seam. Every Open starts a fresh numbered segment, and a full
+// segment rotates to the next number, so the tail of the highest-numbered
+// segment is always the final moments of the latest boot.
 //
 // The sink is strictly best-effort: the first write failure latches it off
 // and is reported via Err — observability must never fail the operation it
@@ -258,7 +263,8 @@ type FlightSink struct {
 	fs   faultfs.FS
 	dir  string
 	f    faultfs.File
-	size int64
+	num  uint64 // number of the segment f appends to
+	size int64  // bytes written to f
 	err  error
 }
 
@@ -312,17 +318,42 @@ func OpenFlightSink(fsys faultfs.FS, dir string) (*FlightSink, error) {
 	if len(nums) > 0 {
 		next = nums[len(nums)-1] + 1
 	}
-	for len(nums) >= flightKeepSegments {
+	s := &FlightSink{fs: fsys, dir: dir}
+	if err := s.openSegment(nums, next); err != nil {
+		return nil, err
+	}
+	return s, nil
+}
+
+// openSegment prunes the oldest of the existing segment numbers so that,
+// with segment next added, at most flightKeepSegments remain, then opens
+// next for appending.
+func (s *FlightSink) openSegment(existing []uint64, next uint64) error {
+	for len(existing) >= flightKeepSegments {
 		// Prune failures are non-fatal: a leftover segment wastes bytes, it
 		// does not corrupt anything.
-		_ = fsys.Remove(path.Join(dir, flightSegName(nums[0])))
-		nums = nums[1:]
+		_ = s.fs.Remove(path.Join(s.dir, flightSegName(existing[0])))
+		existing = existing[1:]
 	}
-	f, err := fsys.OpenFile(path.Join(dir, flightSegName(next)), osWronly|osCreate|osAppend, 0o600)
+	f, err := s.fs.OpenFile(path.Join(s.dir, flightSegName(next)), osWronly|osCreate|osAppend, 0o600)
 	if err != nil {
-		return nil, fmt.Errorf("obs: opening flight segment: %w", err)
+		return fmt.Errorf("obs: opening flight segment: %w", err)
 	}
-	return &FlightSink{fs: fsys, dir: dir, f: f}, nil
+	s.f, s.num, s.size = f, next, 0
+	return nil
+}
+
+// rotate closes the full segment and continues in the next one.
+func (s *FlightSink) rotate() error {
+	if err := s.f.Close(); err != nil {
+		return err
+	}
+	s.f = nil
+	nums, err := listFlightSegments(s.fs, s.dir)
+	if err != nil {
+		return err
+	}
+	return s.openSegment(nums, s.num+1)
 }
 
 // Append frames and writes one event. Failures latch the sink off silently;
@@ -334,6 +365,12 @@ func (s *FlightSink) Append(ev FlightEvent) {
 		return
 	}
 	buf := frame.Append(nil, ev.Seq, encodeFlightEvent(ev))
+	if s.size > 0 && s.size+int64(len(buf)) > flightSegmentBytes {
+		if err := s.rotate(); err != nil {
+			s.err = fmt.Errorf("obs: rotating flight segment: %w", err)
+			return
+		}
+	}
 	if _, err := s.f.Write(buf); err != nil {
 		s.err = err
 		return

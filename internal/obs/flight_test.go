@@ -137,6 +137,62 @@ func TestFlightSegmentRotationAndPruning(t *testing.T) {
 	}
 }
 
+// TestFlightSinkDiskBoundWithinOneBoot: a single long-running sink rotates
+// by size and prunes as it goes, so however many events one boot appends,
+// the directory stays within keep × cap and the newest events decode.
+func TestFlightSinkDiskBoundWithinOneBoot(t *testing.T) {
+	mem := faultfs.NewMem()
+	sink, err := OpenFlightSink(mem, "d/flight")
+	if err != nil {
+		t.Fatal(err)
+	}
+	f := NewFlight(16)
+	detail := strings.Repeat("x", flightMaxStr)
+	const bound = flightKeepSegments * flightSegmentBytes
+	var last FlightEvent
+	written := 0
+	for written < 2*bound {
+		last = f.Record(FlightEvent{Kind: "put", Outcome: "ok", Detail: detail})
+		sink.Append(last)
+		written += len(encodeFlightEvent(last))
+	}
+	if err := sink.Err(); err != nil {
+		t.Fatalf("sink latched an error: %v", err)
+	}
+	total := 0
+	for name, data := range mem.Dump() {
+		if strings.HasPrefix(name, "d/flight/") {
+			total += len(data)
+			if len(data) > flightSegmentBytes {
+				t.Errorf("%s holds %d bytes, cap is %d", name, len(data), flightSegmentBytes)
+			}
+		}
+	}
+	if total > bound {
+		t.Fatalf("flight dir holds %d bytes after %d written, bound is %d", total, written, bound)
+	}
+	nums, err := listFlightSegments(mem, "d/flight")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(nums) != flightKeepSegments || nums[0] == 1 {
+		t.Fatalf("segments %v: want the newest %d of a rotated run", nums, flightKeepSegments)
+	}
+	sink.Close()
+	evs, err := ReadFlightDir(mem, "d/flight")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(evs) == 0 || evs[len(evs)-1].Seq != last.Seq {
+		t.Fatalf("newest event did not survive rotation")
+	}
+	for i := 1; i < len(evs); i++ {
+		if evs[i].Seq != evs[i-1].Seq+1 {
+			t.Fatalf("retained events are not contiguous at %d: %d after %d", i, evs[i].Seq, evs[i-1].Seq)
+		}
+	}
+}
+
 func TestFlightEventsArePHIFree(t *testing.T) {
 	body := "PATIENT-BODY-SENTINEL"
 	ev := FlightEvent{Kind: "put", Record: HashRecordID("rec-" + body), Outcome: "ok"}

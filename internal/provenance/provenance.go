@@ -17,6 +17,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"sort"
 	"sync"
 	"time"
 
@@ -124,22 +125,40 @@ func Open(cfg Config) (*Tracker, error) {
 		now:    now,
 		chains: make(map[string][]Event),
 	}
+	// Signatures are checked on a worker pool while the scan goes on (see
+	// verify.go). A signature failure is always earlier in the log than a
+	// scan failure, because the scan stops at its first bad event and only
+	// events before it were queued; once a signature has failed the scan
+	// stops too, since nothing after it can be the earliest error.
+	pool := newSigPool()
+	seq := 0
 	err := cfg.Store.Scan(func(_ blockstore.Ref, data []byte) error {
+		if pool.failed() {
+			return errStopScan
+		}
 		e, err := decodeEvent(data)
 		if err != nil {
 			return err
 		}
-		if err := verifyLink(tr.chains[e.Record], e); err != nil {
+		if err := checkLink(tr.chains[e.Record], e); err != nil {
 			return err
 		}
+		pool.add(sigJob{seq: seq, e: e})
+		seq++
 		tr.chains[e.Record] = append(tr.chains[e.Record], e)
 		return nil
 	})
+	if _, sigErr := pool.wait(); sigErr != nil {
+		err = sigErr
+	}
 	if err != nil {
 		return nil, fmt.Errorf("provenance: replaying custody log: %w", err)
 	}
 	return tr, nil
 }
+
+// errStopScan ends a replay scan early once a signature has failed.
+var errStopScan = errors.New("provenance: scan stopped")
 
 // Record appends a custody event for record id performed by actor, with the
 // record content hash at this moment. peer names the counterpart system for
@@ -190,27 +209,6 @@ func (tr *Tracker) Adopt(events []Event) error {
 	return nil
 }
 
-// verifyLink validates e as the next link after chain.
-func verifyLink(chain []Event, e Event) error {
-	if e.Index != uint64(len(chain)) {
-		return fmt.Errorf("%w: record %s: index %d, want %d", ErrChainBroken, e.Record, e.Index, len(chain))
-	}
-	var wantPrev [32]byte
-	if len(chain) > 0 {
-		wantPrev = chain[len(chain)-1].Hash
-	}
-	if e.PrevHash != wantPrev {
-		return fmt.Errorf("%w: record %s: prev-hash mismatch at index %d", ErrChainBroken, e.Record, e.Index)
-	}
-	if eventHash(e) != e.Hash {
-		return fmt.Errorf("%w: record %s: content hash mismatch at index %d", ErrChainBroken, e.Record, e.Index)
-	}
-	if err := e.SignerKey.Verify(e.Hash[:], e.Signature); err != nil {
-		return fmt.Errorf("%w: record %s index %d: %v", ErrBadSignature, e.Record, e.Index, err)
-	}
-	return nil
-}
-
 // Chain returns a copy of the custody chain for id in order.
 func (tr *Tracker) Chain(id string) ([]Event, error) {
 	tr.mu.RLock()
@@ -243,19 +241,58 @@ func (tr *Tracker) Verify(id string, trusted map[string]bool) error {
 	return nil
 }
 
-// VerifyAll verifies every record's chain; it returns the number of records
-// checked and the first error.
+// VerifyAll verifies every record's chain, records in ID order, with the
+// signatures checked on a worker pool. It returns the number of records
+// checked and the first error: on failure, the number of records before the
+// one holding the earliest bad event, and that event's error — exactly what
+// calling Verify on each record in turn reports.
 func (tr *Tracker) VerifyAll(trusted map[string]bool) (int, error) {
 	tr.mu.RLock()
 	ids := make([]string, 0, len(tr.chains))
-	for id := range tr.chains {
+	chains := make(map[string][]Event, len(tr.chains))
+	for id, chain := range tr.chains {
 		ids = append(ids, id)
+		// Chains only grow by append, so this header's events stay as they
+		// are after the lock is released.
+		chains[id] = chain
 	}
 	tr.mu.RUnlock()
+	sort.Strings(ids)
+
+	pool := newSigPool()
+	seq := 0
+	var (
+		failRec int
+		failErr error
+	)
+walk:
 	for i, id := range ids {
-		if err := tr.Verify(id, trusted); err != nil {
-			return i, err
+		chain := chains[id]
+		for k, e := range chain {
+			if pool.failed() {
+				break walk
+			}
+			if err := checkLink(chain[:k], e); err != nil {
+				failRec, failErr = i, err
+				break walk
+			}
+			// The trusted-signer check comes after the signature check, so
+			// the event is queued before it: a bad signature on the same
+			// event still wins.
+			pool.add(sigJob{seq: seq, rec: i, e: e})
+			seq++
+			if trusted != nil && !trusted[e.SignerKey.String()] {
+				failRec = i
+				failErr = fmt.Errorf("%w: record %s index %d signed by untrusted key %s", ErrBadSignature, id, e.Index, e.SignerKey)
+				break walk
+			}
 		}
+	}
+	if bad, err := pool.wait(); err != nil {
+		return bad.rec, err
+	}
+	if failErr != nil {
+		return failRec, failErr
 	}
 	return len(ids), nil
 }
