@@ -28,6 +28,7 @@ import (
 	"time"
 
 	"medvault/internal/blockstore"
+	"medvault/internal/checkpool"
 	"medvault/internal/obs"
 	"medvault/internal/vcrypto"
 )
@@ -35,13 +36,26 @@ import (
 // Audit instrumentation: event volume by outcome and the time each append
 // (hash, MAC, persist) costs the operation that triggered it.
 var (
-	metEvents = func(outcome Outcome) *obs.Counter {
+	metEventsFor = func(outcome Outcome) *obs.Counter {
 		return obs.Default.Counter("medvault_audit_events_total",
 			"Audit events appended, by outcome.", obs.L("outcome", string(outcome)))
+	}
+	// The three outcomes' counters are looked up once, not on every append.
+	metEventsKnown = map[Outcome]*obs.Counter{
+		OutcomeAllowed: metEventsFor(OutcomeAllowed),
+		OutcomeDenied:  metEventsFor(OutcomeDenied),
+		OutcomeError:   metEventsFor(OutcomeError),
 	}
 	metAppendSeconds = obs.Default.Histogram("medvault_audit_append_seconds",
 		"Latency of one audit-chain append (hash, MAC, persist).", obs.LatencyBuckets)
 )
+
+func metEvents(outcome Outcome) *obs.Counter {
+	if c := metEventsKnown[outcome]; c != nil {
+		return c
+	}
+	return metEventsFor(outcome)
+}
 
 // Action classifies an audited operation.
 type Action string
@@ -138,6 +152,7 @@ type Log struct {
 	mu       sync.RWMutex
 	store    blockstore.Store
 	macKey   vcrypto.Key
+	mac      *vcrypto.MACer // keyed MAC for appends, used under mu
 	signer   *vcrypto.Signer
 	now      func() time.Time
 	events   []Event // in-memory mirror for queries and verification
@@ -172,43 +187,87 @@ func Open(cfg Config) (*Log, error) {
 	l := &Log{
 		store:  cfg.Store,
 		macKey: cfg.MACKey,
+		mac:    vcrypto.NewMACer(cfg.MACKey),
 		signer: cfg.Signer,
 		now:    now,
 		every:  cfg.CheckpointInterval,
+		events: make([]Event, 0, cfg.Store.Len()),
 	}
+	// The scan does the order-dependent checks and hands each event's
+	// content-hash and MAC checks to a worker pool. A pool failure is always
+	// earlier in the log than a scan failure, because the scan stops at its
+	// first bad event and only events before it were queued; once a pool
+	// check has failed the scan stops too, since nothing after it can be the
+	// earliest error. Events are queued by pointer, which is safe because
+	// an element is never written again once appended: were l.events to
+	// outgrow its presized capacity, a queued pointer would still read the
+	// old backing array, whose elements hold the same values.
+	pool := newSealPool(cfg.MACKey)
 	err := cfg.Store.Scan(func(_ blockstore.Ref, data []byte) error {
+		if pool.Failed() {
+			return errStopScan
+		}
 		e, err := decodeEvent(data)
 		if err != nil {
 			return err
 		}
-		if err := l.checkLink(e); err != nil {
+		if err := checkLink(&e, len(l.events), l.lastHash); err != nil {
 			return err
 		}
 		l.events = append(l.events, e)
 		l.lastHash = e.Hash
+		pool.Add(&l.events[len(l.events)-1])
 		return nil
 	})
+	if _, _, sealErr := pool.Wait(); sealErr != nil {
+		err = sealErr
+	}
 	if err != nil {
 		return nil, fmt.Errorf("audit: replaying persisted log: %w", err)
 	}
 	return l, nil
 }
 
-// checkLink validates e against the current tail (chain, hash, MAC).
-func (l *Log) checkLink(e Event) error {
-	if e.Seq != uint64(len(l.events)) {
-		return fmt.Errorf("%w: sequence %d, want %d", ErrChainBroken, e.Seq, len(l.events))
+// errStopScan ends a replay scan early once a pool check has failed.
+var errStopScan = errors.New("audit: scan stopped")
+
+// Verifying an event is four checks, in this order: its sequence number,
+// its prev-hash, its content hash, and its MAC. The first two compare it
+// with its predecessor, so a walk makes them in log order (checkLink); the
+// last two depend on the event alone and cost most of the walk (hashing
+// and HMAC), so a checkpool.Pool makes them on every core (checkSeal).
+// Both Open and Verify report the error of the earliest bad event, and for
+// one event the earliest failing check — what a serial walk reports.
+
+// checkLink checks that e is event seq of the chain and follows prev.
+func checkLink(e *Event, seq int, prev [32]byte) error {
+	if e.Seq != uint64(seq) {
+		return fmt.Errorf("%w: sequence %d, want %d", ErrChainBroken, e.Seq, seq)
 	}
-	if e.PrevHash != l.lastHash {
+	if e.PrevHash != prev {
 		return fmt.Errorf("%w: prev-hash mismatch at seq %d", ErrChainBroken, e.Seq)
 	}
-	if eventHash(e) != e.Hash {
+	return nil
+}
+
+// checkSeal checks e's content hash and then its MAC.
+func checkSeal(m *vcrypto.MACer, e *Event) error {
+	if eventHash(*e) != e.Hash {
 		return fmt.Errorf("%w: content hash mismatch at seq %d", ErrChainBroken, e.Seq)
 	}
-	if !vcrypto.VerifyMAC(l.macKey, e.Hash[:], e.MAC) {
+	if !m.Verify(e.Hash[:], e.MAC) {
 		return fmt.Errorf("%w: at seq %d", ErrBadMAC, e.Seq)
 	}
 	return nil
+}
+
+// newSealPool returns a pool running checkSeal, each worker with its own
+// keyed MAC.
+func newSealPool(key vcrypto.Key) *checkpool.Pool[*Event] {
+	return checkpool.New(func() func(*Event) error {
+		m := vcrypto.NewMACer(key)
+		return func(e *Event) error { return checkSeal(m, e) }
+	})
 }
 
 // Append records an event and returns it with chain fields filled in.
@@ -274,7 +333,7 @@ func (l *Log) appendLocked(e Event) (Event, error) {
 	e.Timestamp = l.now().UTC()
 	e.PrevHash = l.lastHash
 	e.Hash = eventHash(e)
-	e.MAC = vcrypto.MAC(l.macKey, e.Hash[:])
+	e.MAC = l.mac.MAC(e.Hash[:])
 	if _, err := l.store.Append(encodeEvent(e)); err != nil {
 		return Event{}, fmt.Errorf("audit: persisting event %d: %w", e.Seq, err)
 	}
@@ -321,28 +380,31 @@ func (l *Log) Checkpoints() []Checkpoint {
 	return append([]Checkpoint(nil), l.cps...)
 }
 
-// Verify walks the whole chain: hash links, content hashes, and MACs.
-// It returns the number of verified events.
+// Verify walks the whole chain: hash links, content hashes, and MACs, the
+// last two on every core. It returns the number of verified events: on
+// failure, the position of the earliest bad event.
 func (l *Log) Verify() (int, error) {
 	l.mu.RLock()
 	defer l.mu.RUnlock()
+	pool := newSealPool(l.macKey)
+	n, err := len(l.events), error(nil)
 	var prev [32]byte
-	for i, e := range l.events {
-		if e.Seq != uint64(i) {
-			return i, fmt.Errorf("%w: sequence %d, want %d", ErrChainBroken, e.Seq, i)
+	for i := range l.events {
+		if pool.Failed() {
+			break
 		}
-		if e.PrevHash != prev {
-			return i, fmt.Errorf("%w: prev-hash mismatch at seq %d", ErrChainBroken, i)
+		e := &l.events[i]
+		if err = checkLink(e, i, prev); err != nil {
+			n = i
+			break
 		}
-		if eventHash(e) != e.Hash {
-			return i, fmt.Errorf("%w: content hash mismatch at seq %d", ErrChainBroken, i)
-		}
-		if !vcrypto.VerifyMAC(l.macKey, e.Hash[:], e.MAC) {
-			return i, fmt.Errorf("%w: at seq %d", ErrBadMAC, i)
-		}
+		pool.Add(e)
 		prev = e.Hash
 	}
-	return len(l.events), nil
+	if bad, _, sealErr := pool.Wait(); sealErr != nil {
+		return bad, sealErr
+	}
+	return n, err
 }
 
 // VerifyAgainst verifies the chain and additionally checks it commits to the
@@ -419,24 +481,24 @@ func (l *Log) Events() []Event {
 // eventHash hashes the event's content and PrevHash (not MAC). The domain
 // string is versioned with the field set: v2 added Trace, so a v1 chain
 // cannot be passed off as v2 (or vice versa) by zero-filling the new field.
+//
+// The hashed bytes are assembled in a stack buffer, which fits any event
+// whose strings total under ~150 bytes, so hashing allocates nothing.
 func eventHash(e Event) [32]byte {
-	var buf bytes.Buffer
-	buf.WriteString("medvault/audit-event/v2\x00")
-	var b [8]byte
-	binary.BigEndian.PutUint64(b[:], e.Seq)
-	buf.Write(b[:])
-	binary.BigEndian.PutUint64(b[:], uint64(e.Timestamp.UnixNano()))
-	buf.Write(b[:])
+	var scratch [256]byte
+	b := append(scratch[:0], "medvault/audit-event/v2\x00"...)
+	b = binary.BigEndian.AppendUint64(b, e.Seq)
+	b = binary.BigEndian.AppendUint64(b, uint64(e.Timestamp.UnixNano()))
 	// Length-prefix strings so field boundaries cannot be confused.
-	for _, s := range []string{e.Actor, string(e.Action), e.Record, string(e.Outcome), e.Detail, e.Trace} {
-		binary.BigEndian.PutUint32(b[:4], uint32(len(s)))
-		buf.Write(b[:4])
-		buf.WriteString(s)
-	}
-	binary.BigEndian.PutUint64(b[:], e.Version)
-	buf.Write(b[:])
-	buf.Write(e.PrevHash[:])
-	return vcrypto.Hash(buf.Bytes())
+	b = appendStr(b, e.Actor)
+	b = appendStr(b, string(e.Action))
+	b = appendStr(b, e.Record)
+	b = appendStr(b, string(e.Outcome))
+	b = appendStr(b, e.Detail)
+	b = appendStr(b, e.Trace)
+	b = binary.BigEndian.AppendUint64(b, e.Version)
+	b = append(b, e.PrevHash[:]...)
+	return vcrypto.Hash(b)
 }
 
 // String renders an event as one log line.

@@ -1,7 +1,6 @@
 package audit
 
 import (
-	"bytes"
 	"encoding/binary"
 	"fmt"
 	"io"
@@ -21,118 +20,132 @@ import (
 const codecVersion = 2
 
 func encodeEvent(e Event) []byte {
-	var buf bytes.Buffer
-	writeU16(&buf, codecVersion)
-	writeU64(&buf, e.Seq)
-	writeU64(&buf, uint64(e.Timestamp.UnixNano()))
-	writeStr(&buf, e.Actor)
-	writeStr(&buf, string(e.Action))
-	writeStr(&buf, e.Record)
-	writeU64(&buf, e.Version)
-	writeStr(&buf, string(e.Outcome))
-	writeStr(&buf, e.Detail)
-	writeStr(&buf, e.Trace)
-	buf.Write(e.PrevHash[:])
-	buf.Write(e.Hash[:])
-	writeBytes(&buf, e.MAC)
-	return buf.Bytes()
+	n := 2 + 3*8 + 2*32 + 7*4 + len(e.Actor) + len(e.Action) + len(e.Record) +
+		len(e.Outcome) + len(e.Detail) + len(e.Trace) + len(e.MAC)
+	b := make([]byte, 0, n)
+	b = binary.BigEndian.AppendUint16(b, codecVersion)
+	b = binary.BigEndian.AppendUint64(b, e.Seq)
+	b = binary.BigEndian.AppendUint64(b, uint64(e.Timestamp.UnixNano()))
+	b = appendStr(b, e.Actor)
+	b = appendStr(b, string(e.Action))
+	b = appendStr(b, e.Record)
+	b = binary.BigEndian.AppendUint64(b, e.Version)
+	b = appendStr(b, string(e.Outcome))
+	b = appendStr(b, e.Detail)
+	b = appendStr(b, e.Trace)
+	b = append(b, e.PrevHash[:]...)
+	b = append(b, e.Hash[:]...)
+	b = binary.BigEndian.AppendUint32(b, uint32(len(e.MAC)))
+	return append(b, e.MAC...)
 }
 
+// appendStr appends a u32-length-prefixed string, the layout shared by the
+// codec and the event hash.
+func appendStr(b []byte, s string) []byte {
+	b = binary.BigEndian.AppendUint32(b, uint32(len(s)))
+	return append(b, s...)
+}
+
+// decodeEvent parses one persisted event. It reads the payload front to
+// back in place: the six strings are copied out in one allocation and the
+// MAC in another, so the caller may reuse data afterwards.
 func decodeEvent(data []byte) (Event, error) {
-	r := bytes.NewReader(data)
-	ver, err := readU16(r)
-	if err != nil || ver != codecVersion {
+	d := decoder{b: data}
+	if ver := d.u16(); d.err != nil || ver != codecVersion {
 		return Event{}, fmt.Errorf("%w: version %d", ErrCorrupt, ver)
 	}
 	var e Event
-	fields := []func() error{
-		func() error { e.Seq, err = readU64(r); return err },
-		func() error {
-			ns, err := readU64(r)
-			e.Timestamp = time.Unix(0, int64(ns)).UTC()
-			return err
-		},
-		func() error { s, err := readStr(r); e.Actor = s; return err },
-		func() error { s, err := readStr(r); e.Action = Action(s); return err },
-		func() error { s, err := readStr(r); e.Record = s; return err },
-		func() error { e.Version, err = readU64(r); return err },
-		func() error { s, err := readStr(r); e.Outcome = Outcome(s); return err },
-		func() error { s, err := readStr(r); e.Detail = s; return err },
-		func() error { s, err := readStr(r); e.Trace = s; return err },
-		func() error { _, err := io.ReadFull(r, e.PrevHash[:]); return err },
-		func() error { _, err := io.ReadFull(r, e.Hash[:]); return err },
-		func() error { b, err := readBytesField(r); e.MAC = b; return err },
+	e.Seq = d.u64()
+	ns := d.u64()
+	strs := d.off
+	actor := d.field()
+	action := d.field()
+	record := d.field()
+	e.Version = d.u64()
+	outcome := d.field()
+	detail := d.field()
+	trace := d.field()
+	strsEnd := d.off
+	copy(e.PrevHash[:], d.take(32))
+	copy(e.Hash[:], d.take(32))
+	mac := d.field()
+	if d.err != nil {
+		return Event{}, fmt.Errorf("%w: %v", ErrCorrupt, d.err)
 	}
-	for _, f := range fields {
-		if err := f(); err != nil {
-			return Event{}, fmt.Errorf("%w: %v", ErrCorrupt, err)
-		}
+	if rest := len(data) - d.off; rest != 0 {
+		return Event{}, fmt.Errorf("%w: %d trailing bytes", ErrCorrupt, rest)
 	}
-	if r.Len() != 0 {
-		return Event{}, fmt.Errorf("%w: %d trailing bytes", ErrCorrupt, r.Len())
-	}
+	e.Timestamp = time.Unix(0, int64(ns)).UTC()
+	// One string holds the bytes from actor to trace, length prefixes and
+	// the record version included; each field is a substring of it.
+	s := string(data[strs:strsEnd])
+	str := func(f span) string { return s[f.lo-strs : f.hi-strs] }
+	e.Actor = str(actor)
+	e.Action = Action(str(action))
+	e.Record = str(record)
+	e.Outcome = Outcome(str(outcome))
+	e.Detail = str(detail)
+	e.Trace = str(trace)
+	e.MAC = append(make([]byte, 0, mac.hi-mac.lo), data[mac.lo:mac.hi]...)
 	return e, nil
 }
 
-func writeU16(buf *bytes.Buffer, v uint16) {
-	var b [2]byte
-	binary.BigEndian.PutUint16(b[:], v)
-	buf.Write(b[:])
+// span is the byte range data[lo:hi] of one decoded field.
+type span struct{ lo, hi int }
+
+// decoder walks a payload slice. The first failure sticks and later reads
+// return zero values; its error text matches what io.ReadFull over a
+// bytes.Reader reports, so a short payload fails as it always has.
+type decoder struct {
+	b   []byte
+	off int
+	err error
 }
 
-func writeU64(buf *bytes.Buffer, v uint64) {
-	var b [8]byte
-	binary.BigEndian.PutUint64(b[:], v)
-	buf.Write(b[:])
-}
-
-func writeStr(buf *bytes.Buffer, s string) {
-	var b [4]byte
-	binary.BigEndian.PutUint32(b[:], uint32(len(s)))
-	buf.Write(b[:])
-	buf.WriteString(s)
-}
-
-func writeBytes(buf *bytes.Buffer, p []byte) {
-	var b [4]byte
-	binary.BigEndian.PutUint32(b[:], uint32(len(p)))
-	buf.Write(b[:])
-	buf.Write(p)
-}
-
-func readU16(r *bytes.Reader) (uint16, error) {
-	var b [2]byte
-	if _, err := io.ReadFull(r, b[:]); err != nil {
-		return 0, err
+// take consumes the next n bytes, or fails if fewer remain.
+func (d *decoder) take(n int) []byte {
+	if d.err != nil {
+		return nil
 	}
-	return binary.BigEndian.Uint16(b[:]), nil
+	if rem := len(d.b) - d.off; rem < n {
+		d.err = io.ErrUnexpectedEOF
+		if rem == 0 {
+			d.err = io.EOF
+		}
+		return nil
+	}
+	p := d.b[d.off : d.off+n]
+	d.off += n
+	return p
 }
 
-func readU64(r *bytes.Reader) (uint64, error) {
-	var b [8]byte
-	if _, err := io.ReadFull(r, b[:]); err != nil {
-		return 0, err
+func (d *decoder) u16() uint16 {
+	if p := d.take(2); p != nil {
+		return binary.BigEndian.Uint16(p)
 	}
-	return binary.BigEndian.Uint64(b[:]), nil
+	return 0
 }
 
-func readStr(r *bytes.Reader) (string, error) {
-	b, err := readBytesField(r)
-	return string(b), err
+func (d *decoder) u64() uint64 {
+	if p := d.take(8); p != nil {
+		return binary.BigEndian.Uint64(p)
+	}
+	return 0
 }
 
-func readBytesField(r *bytes.Reader) ([]byte, error) {
-	var lb [4]byte
-	if _, err := io.ReadFull(r, lb[:]); err != nil {
-		return nil, err
+// field consumes a u32-length-prefixed field and returns where its bytes
+// lie.
+func (d *decoder) field() span {
+	p := d.take(4)
+	if p == nil {
+		return span{}
 	}
-	n := binary.BigEndian.Uint32(lb[:])
-	if int(n) > r.Len() {
-		return nil, fmt.Errorf("field length %d exceeds remaining %d", n, r.Len())
+	n := binary.BigEndian.Uint32(p)
+	if rem := len(d.b) - d.off; int(n) > rem {
+		d.err = fmt.Errorf("field length %d exceeds remaining %d", n, rem)
+		return span{}
 	}
-	b := make([]byte, n)
-	if _, err := io.ReadFull(r, b); err != nil {
-		return nil, err
-	}
-	return b, nil
+	f := span{d.off, d.off + int(n)}
+	d.off = f.hi
+	return f
 }

@@ -24,8 +24,8 @@ import (
 
 	"medvault/internal/audit"
 	"medvault/internal/faultfs"
+	"medvault/internal/frame"
 	"medvault/internal/merkle"
-	"medvault/internal/wal"
 )
 
 // ReplicaHead is one shard's Merkle position as computed from raw replica
@@ -86,12 +86,12 @@ func replicaShardHead(fsys faultfs.FS, dir string) (ReplicaHead, error) {
 	}
 	var off int
 	for off < len(walData) {
-		e, n, ok := wal.DecodeFrame(walData[off:])
+		_, data, n, ok := frame.Decode(walData[off:])
 		if !ok {
 			break // torn tail: ignored, exactly as recovery truncates it
 		}
 		off += n
-		lh, id, number, isVersion, err := versionEntryLeaf(e.Data)
+		lh, id, number, isVersion, err := versionEntryLeaf(data)
 		if err != nil {
 			return ReplicaHead{}, fmt.Errorf("WAL entry at offset %d: %w", off-n, err)
 		}

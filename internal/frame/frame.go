@@ -54,17 +54,14 @@ func Decode(b []byte) (seq uint64, data []byte, n int, ok bool) {
 	return seq, data, Overhead + int(ln), true
 }
 
-// Size returns the total byte length of the frame at the front of b without
-// validating its CRC — the cheap "can a complete frame be here" probe stream
-// readers use to decide whether to read more bytes.
+// Size reports the total encoded size that the frame header at the front of
+// b declares, so a stream reader knows how many bytes to collect before
+// handing the frame to Decode. ok is false when b holds less than a full
+// header. The size is advisory only: a frame is valid only if Decode
+// accepts it.
 func Size(b []byte) (int, bool) {
 	if len(b) < Overhead {
 		return 0, false
 	}
-	n := binary.BigEndian.Uint32(b[8:12])
-	total := uint64(Overhead) + uint64(n)
-	if total > uint64(len(b)) {
-		return 0, false
-	}
-	return int(total), true
+	return Overhead + int(binary.BigEndian.Uint32(b[8:12])), true
 }

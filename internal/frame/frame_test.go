@@ -24,6 +24,13 @@ func TestRoundTrip(t *testing.T) {
 		if !sok || sz != n {
 			t.Fatalf("frame %d: Size=%d,%v want %d,true", i, sz, sok, n)
 		}
+		// A stream reader holds only the header when it asks.
+		if sz, sok := Size(buf[off : off+Overhead]); !sok || sz != n {
+			t.Fatalf("frame %d: Size(header)=%d,%v want %d,true", i, sz, sok, n)
+		}
+		if _, sok := Size(buf[off : off+Overhead-1]); sok {
+			t.Fatalf("frame %d: Size accepted a short header", i)
+		}
 		off += n
 	}
 	if off != len(buf) {

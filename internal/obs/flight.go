@@ -356,8 +356,15 @@ func (s *FlightSink) rotate() error {
 	return s.openSegment(nums, s.num+1)
 }
 
-// Append frames and writes one event. Failures latch the sink off silently;
-// the caller's operation must not care.
+// metFlightSinkErrors counts sinks latched off by a failed write or
+// rotation. A latched sink drops every later event without a word, so this
+// counter is what makes a dead flight recorder visible on /metrics.
+var metFlightSinkErrors = Default.Counter("medvault_flight_sink_errors_total",
+	"Flight sinks latched off by a failed segment write or rotation; later events are not persisted.")
+
+// Append frames and writes one event. Failures latch the sink off, counted
+// in medvault_flight_sink_errors_total; the caller's operation must not
+// care.
 func (s *FlightSink) Append(ev FlightEvent) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -367,15 +374,21 @@ func (s *FlightSink) Append(ev FlightEvent) {
 	buf := frame.Append(nil, ev.Seq, encodeFlightEvent(ev))
 	if s.size > 0 && s.size+int64(len(buf)) > flightSegmentBytes {
 		if err := s.rotate(); err != nil {
-			s.err = fmt.Errorf("obs: rotating flight segment: %w", err)
+			s.latch(fmt.Errorf("obs: rotating flight segment: %w", err))
 			return
 		}
 	}
 	if _, err := s.f.Write(buf); err != nil {
-		s.err = err
+		s.latch(err)
 		return
 	}
 	s.size += int64(len(buf))
+}
+
+// latch turns the sink off after a failure. Called with s.mu held.
+func (s *FlightSink) latch(err error) {
+	s.err = err
+	metFlightSinkErrors.Inc()
 }
 
 // Err returns the latched failure that disabled the sink, if any.

@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"errors"
 	"strings"
 	"testing"
 	"time"
@@ -229,4 +230,45 @@ func FuzzFlightSegment(f *testing.F) {
 			}
 		}
 	})
+}
+
+// TestFlightSinkLatchCounted: a write fault latches the sink off, and the
+// latch shows on medvault_flight_sink_errors_total exactly once — the
+// events dropped after it do not count again.
+func TestFlightSinkLatchCounted(t *testing.T) {
+	failWrites := false
+	fsys := faultfs.NewFaulty(faultfs.NewMem(), func(op faultfs.Op) *faultfs.Fault {
+		if failWrites && op.Kind == faultfs.OpWrite && strings.HasPrefix(op.Path, "vault/flight/") {
+			return &faultfs.Fault{Err: faultfs.ErrNoSpace}
+		}
+		return nil
+	})
+	sink, err := OpenFlightSink(fsys, "vault/flight")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sink.Close()
+	before := metFlightSinkErrors.Value()
+	sink.Append(FlightEvent{Seq: 1, Kind: "put"})
+	if sink.Err() != nil || metFlightSinkErrors.Value() != before {
+		t.Fatalf("healthy append: err %v, counter %v → %v", sink.Err(), before, metFlightSinkErrors.Value())
+	}
+	failWrites = true
+	for i := 0; i < 3; i++ {
+		sink.Append(FlightEvent{Seq: uint64(2 + i), Kind: "put"})
+	}
+	if !errors.Is(sink.Err(), faultfs.ErrNoSpace) {
+		t.Fatalf("sink error %v, want the injected fault", sink.Err())
+	}
+	got := Default.Counter("medvault_flight_sink_errors_total", "").Value()
+	if got != before+1 {
+		t.Fatalf("medvault_flight_sink_errors_total = %v, want %v", got, before+1)
+	}
+	var prom strings.Builder
+	if err := Default.WritePrometheus(&prom); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(prom.String(), "medvault_flight_sink_errors_total") {
+		t.Error("/metrics exposition lacks medvault_flight_sink_errors_total")
+	}
 }

@@ -131,9 +131,8 @@ func Open(cfg Config) (*Tracker, error) {
 	// events before it were queued; once a signature has failed the scan
 	// stops too, since nothing after it can be the earliest error.
 	pool := newSigPool()
-	seq := 0
 	err := cfg.Store.Scan(func(_ blockstore.Ref, data []byte) error {
-		if pool.failed() {
+		if pool.Failed() {
 			return errStopScan
 		}
 		e, err := decodeEvent(data)
@@ -143,12 +142,11 @@ func Open(cfg Config) (*Tracker, error) {
 		if err := checkLink(tr.chains[e.Record], e); err != nil {
 			return err
 		}
-		pool.add(sigJob{seq: seq, e: e})
-		seq++
+		pool.Add(sigJob{e: e})
 		tr.chains[e.Record] = append(tr.chains[e.Record], e)
 		return nil
 	})
-	if _, sigErr := pool.wait(); sigErr != nil {
+	if _, _, sigErr := pool.Wait(); sigErr != nil {
 		err = sigErr
 	}
 	if err != nil {
@@ -260,7 +258,6 @@ func (tr *Tracker) VerifyAll(trusted map[string]bool) (int, error) {
 	sort.Strings(ids)
 
 	pool := newSigPool()
-	seq := 0
 	var (
 		failRec int
 		failErr error
@@ -269,7 +266,7 @@ walk:
 	for i, id := range ids {
 		chain := chains[id]
 		for k, e := range chain {
-			if pool.failed() {
+			if pool.Failed() {
 				break walk
 			}
 			if err := checkLink(chain[:k], e); err != nil {
@@ -279,8 +276,7 @@ walk:
 			// The trusted-signer check comes after the signature check, so
 			// the event is queued before it: a bad signature on the same
 			// event still wins.
-			pool.add(sigJob{seq: seq, rec: i, e: e})
-			seq++
+			pool.Add(sigJob{rec: i, e: e})
 			if trusted != nil && !trusted[e.SignerKey.String()] {
 				failRec = i
 				failErr = fmt.Errorf("%w: record %s index %d signed by untrusted key %s", ErrBadSignature, id, e.Index, e.SignerKey)
@@ -288,7 +284,7 @@ walk:
 			}
 		}
 	}
-	if bad, err := pool.wait(); err != nil {
+	if _, bad, err := pool.Wait(); err != nil {
 		return bad.rec, err
 	}
 	if failErr != nil {

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"medvault/internal/blockstore"
+	"medvault/internal/checkpool"
 	"medvault/internal/vcrypto"
 )
 
@@ -80,7 +81,7 @@ func withProcs(t *testing.T, n int, f func()) {
 // wherever the tamper sits relative to the pool's batches.
 func TestOpenReportsEarliestTamper(t *testing.T) {
 	signer, _ := vcrypto.NewSigner()
-	const n = 3*sigBatch + 5
+	const n = 3*checkpool.Batch + 5
 	clean := custodyLog(t, signer, n)
 
 	flipSig := func(p []byte) []byte {
@@ -108,11 +109,11 @@ func TestOpenReportsEarliestTamper(t *testing.T) {
 		{"first-signature", map[int]func([]byte) []byte{0: flipSig}, ErrBadSignature, 0},
 		{"middle-signature", map[int]func([]byte) []byte{mid: flipSig}, ErrBadSignature, mid},
 		{"last-signature", map[int]func([]byte) []byte{n - 1: flipSig}, ErrBadSignature, n - 1},
-		{"two-signatures", map[int]func([]byte) []byte{sigBatch + 2: flipSig, 2*sigBatch + 1: flipSig}, ErrBadSignature, sigBatch + 2},
+		{"two-signatures", map[int]func([]byte) []byte{checkpool.Batch + 2: flipSig, 2*checkpool.Batch + 1: flipSig}, ErrBadSignature, checkpool.Batch + 2},
 		{"two-signatures-same-batch", map[int]func([]byte) []byte{11: flipSig, 3: flipSig}, ErrBadSignature, 3},
 		{"signature-before-broken-link", map[int]func([]byte) []byte{mid: flipSig, mid + 1: forgeActor}, ErrBadSignature, mid},
 		{"broken-link-before-signature", map[int]func([]byte) []byte{mid: forgeActor, mid + 1: flipSig}, ErrChainBroken, mid},
-		{"signature-before-undecodable", map[int]func([]byte) []byte{sigBatch: flipSig, n - 2: truncate}, ErrBadSignature, sigBatch},
+		{"signature-before-undecodable", map[int]func([]byte) []byte{checkpool.Batch: flipSig, n - 2: truncate}, ErrBadSignature, checkpool.Batch},
 		{"undecodable-before-signature", map[int]func([]byte) []byte{4: truncate, n - 2: flipSig}, ErrCorrupt, -1},
 	}
 	for _, tc := range cases {
@@ -175,7 +176,7 @@ func TestVerifyAllFirstError(t *testing.T) {
 	signer, _ := vcrypto.NewSigner()
 	other, _ := vcrypto.NewSigner()
 	tr, _ := newTracker(t, "sys", nil)
-	for i := 0; i < 2*sigBatch; i++ {
+	for i := 0; i < 2*checkpool.Batch; i++ {
 		if _, err := tr.Record(fmt.Sprintf("r%03d", i%40), EventCreated, "dr", [32]byte{}, ""); err != nil {
 			t.Fatal(err)
 		}
@@ -229,27 +230,5 @@ func TestVerifyAllFirstError(t *testing.T) {
 				t.Errorf("GOMAXPROCS=%d: VerifyAll error %v differs from Verify's %v", procs, err, want)
 			}
 		})
-	}
-}
-
-// TestSigPoolKeepsEarliestFailure: workers finish batches in any order, so
-// the pool must keep the lowest-seq failure whichever is reported first.
-func TestSigPoolKeepsEarliestFailure(t *testing.T) {
-	early, late := errors.New("early"), errors.New("late")
-	for _, order := range [][]int{{4, 9}, {9, 4}} {
-		p := newSigPool()
-		for _, seq := range order {
-			err := late
-			if seq == 4 {
-				err = early
-			}
-			p.fail(&sigJob{seq: seq, rec: seq}, err)
-		}
-		if !p.failed() {
-			t.Fatal("pool with failures reports none")
-		}
-		if bad, err := p.wait(); err != early || bad.rec != 4 {
-			t.Errorf("failures reported in order %v: pool kept %v (rec %d), want the earliest", order, err, bad.rec)
-		}
 	}
 }

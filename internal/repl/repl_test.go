@@ -12,8 +12,8 @@ import (
 	"medvault/internal/core"
 	"medvault/internal/ehr"
 	"medvault/internal/faultfs"
+	"medvault/internal/frame"
 	"medvault/internal/vcrypto"
-	"medvault/internal/wal"
 )
 
 const testRoot = "vault"
@@ -239,11 +239,11 @@ func buildStream(t *testing.T, epoch uint64) (stream []byte, frameEnds []int) {
 		{Kind: opWrite, Path: "meta.wal", Data: []byte("payload-two")},
 	}
 	var seq uint64
-	stream = wal.AppendFrame(nil, seq, payload(epoch, frameHello, nil))
+	stream = frame.Append(nil, seq, payload(epoch, frameHello, nil))
 	seq++
 	frameEnds = append(frameEnds, len(stream))
 	for _, rec := range ops {
-		stream = wal.AppendFrame(stream, seq, payload(epoch, frameOp, encodeOp(rec)))
+		stream = frame.Append(stream, seq, payload(epoch, frameOp, encodeOp(rec)))
 		seq++
 		frameEnds = append(frameEnds, len(stream))
 	}
@@ -326,7 +326,7 @@ func TestTornFinalFrameOverTCP(t *testing.T) {
 func TestCorruptFrameDropsConnNotFollower(t *testing.T) {
 	stream, ends := buildStream(t, 1)
 	corrupt := append([]byte(nil), stream...)
-	corrupt[ends[len(ends)-2]+wal.FrameOverhead] ^= 0xff // flip a payload byte of the final frame
+	corrupt[ends[len(ends)-2]+frame.Overhead] ^= 0xff // flip a payload byte of the final frame
 
 	fol, err := NewFollower(faultfs.NewMem(), testRoot)
 	if err != nil {

@@ -19,6 +19,7 @@ import (
 	"encoding/hex"
 	"errors"
 	"fmt"
+	"hash"
 )
 
 // KeySize is the byte length of all symmetric keys (AES-256, HMAC-SHA-256).
@@ -99,9 +100,33 @@ func MAC(key Key, data []byte) []byte {
 	return mac.Sum(nil)
 }
 
-// VerifyMAC reports whether sum is a valid MAC over data, in constant time.
-func VerifyMAC(key Key, data, sum []byte) bool {
-	return hmac.Equal(MAC(key, data), sum)
+// MACer computes and checks MACs under one key, keeping the keyed HMAC
+// state between messages: MAC pays hmac.New (two digests and the key pads)
+// on every call, a MACer pays it once. The audit chain MACs every event, so
+// it appends and verifies through MACers. Not safe for concurrent use.
+type MACer struct {
+	h   hash.Hash
+	sum [sha256.Size]byte
+}
+
+// NewMACer returns a MACer keyed with key.
+func NewMACer(key Key) *MACer {
+	return &MACer{h: hmac.New(sha256.New, key[:])}
+}
+
+// MAC computes HMAC-SHA-256 over data, as MAC(key, data) does, into a new
+// slice.
+func (m *MACer) MAC(data []byte) []byte {
+	m.h.Reset()
+	m.h.Write(data)
+	return m.h.Sum(nil)
+}
+
+// Verify reports whether sum is a valid MAC over data, in constant time.
+func (m *MACer) Verify(data, sum []byte) bool {
+	m.h.Reset()
+	m.h.Write(data)
+	return hmac.Equal(m.h.Sum(m.sum[:0]), sum)
 }
 
 // Hash is the content hash used throughout MedVault (SHA-256).

@@ -141,17 +141,28 @@ func TestDeriveKeyDomainSeparation(t *testing.T) {
 
 func TestMACVerify(t *testing.T) {
 	k := testKey(t)
+	m := NewMACer(k)
 	msg := []byte("audit entry 42")
 	sum := MAC(k, msg)
-	if !VerifyMAC(k, msg, sum) {
-		t.Error("valid MAC rejected")
-	}
-	if VerifyMAC(k, []byte("audit entry 43"), sum) {
-		t.Error("MAC accepted for different message")
+	// The MACer's keyed state is reused, so a second message must not be
+	// mixed into the first one's MAC.
+	for i := 0; i < 2; i++ {
+		if got := m.MAC(msg); !bytes.Equal(got, sum) {
+			t.Fatalf("MACer.MAC = %x, want MAC's %x", got, sum)
+		}
+		if !m.Verify(msg, sum) {
+			t.Error("valid MAC rejected")
+		}
+		if m.Verify([]byte("audit entry 43"), sum) {
+			t.Error("MAC accepted for different message")
+		}
 	}
 	sum[0] ^= 1
-	if VerifyMAC(k, msg, sum) {
+	if m.Verify(msg, sum) {
 		t.Error("mutated MAC accepted")
+	}
+	if m.Verify(msg, sum[:31]) {
+		t.Error("truncated MAC accepted")
 	}
 }
 
