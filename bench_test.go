@@ -407,7 +407,7 @@ func newParallelVault(b *testing.B) *core.Adapter {
 	if err != nil {
 		b.Fatal(err)
 	}
-	v, err := core.Open(core.Config{Name: "bench-parallel", Master: master, Clock: clock.NewVirtual(experiments.Epoch)})
+	v, err := core.OpenCluster(core.Config{Name: "bench-parallel", Master: master, Clock: clock.NewVirtual(experiments.Epoch)}, 1)
 	if err != nil {
 		b.Fatal(err)
 	}

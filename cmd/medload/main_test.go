@@ -22,21 +22,16 @@ import (
 	"medvault/internal/vcrypto"
 )
 
-// newLoadTarget serves a fresh in-memory vault or cluster with every medload
-// principal provisioned, exactly as principals.conf lines would.
+// newLoadTarget serves a fresh in-memory cluster of the given shard count
+// with every medload principal provisioned, exactly as principals.conf lines
+// would.
 func newLoadTarget(t *testing.T, shards, actors int) string {
 	t.Helper()
 	master, err := vcrypto.NewKey()
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := core.Config{Name: "load-test", Master: master}
-	var v core.API
-	if shards == 1 {
-		v, err = core.Open(cfg)
-	} else {
-		v, err = core.OpenCluster(cfg, shards)
-	}
+	v, err := core.OpenCluster(core.Config{Name: "load-test", Master: master}, shards)
 	if err != nil {
 		t.Fatal(err)
 	}

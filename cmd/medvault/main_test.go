@@ -1,12 +1,17 @@
 package main
 
 import (
+	"context"
 	"encoding/hex"
+	"errors"
 	"os"
 	"path/filepath"
 	"strings"
+	"sync/atomic"
 	"testing"
 
+	"medvault/internal/core"
+	"medvault/internal/faultfs"
 	"medvault/internal/vaultcfg"
 	"medvault/internal/vcrypto"
 )
@@ -157,5 +162,40 @@ func TestCLIErrors(t *testing.T) {
 	}
 	if err := run(t, "grant", "-dir", dir, "-principal", "x", "-roles", "warlock"); err == nil {
 		t.Error("unknown role accepted")
+	}
+}
+
+// TestWithVaultReportsCloseError: a command whose audited read succeeded
+// but whose Close could not sync the audit store must fail, not exit 0.
+func TestWithVaultReportsCloseError(t *testing.T) {
+	dir, key := setupVault(t)
+	master, err := vaultcfg.ParseMasterKey(key)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var armed atomic.Bool
+	fsys := faultfs.NewFaulty(faultfs.OS{}, func(op faultfs.Op) *faultfs.Fault {
+		if armed.Load() && op.Kind == faultfs.OpSync && filepath.Base(filepath.Dir(op.Path)) == "audit" {
+			return &faultfs.Fault{Err: faultfs.ErrInjected}
+		}
+		return nil
+	})
+	open := func() (*core.Cluster, error) {
+		return vaultcfg.OpenWith(dir, "medvault", master, vaultcfg.Options{FS: fsys})
+	}
+	err = withVault(open, func(v *core.Cluster) error {
+		armed.Store(true)
+		_, err := v.SearchCtx(context.Background(), "dr-a", "hypertension")
+		return err
+	})
+	if !errors.Is(err, faultfs.ErrInjected) {
+		t.Fatalf("withVault = %v, want the audit sync failure from Close", err)
+	}
+
+	// With a healthy Close, fn's own error comes back unchanged in class.
+	armed.Store(false)
+	errFn := errors.New("command failed")
+	if err := withVault(open, func(*core.Cluster) error { return errFn }); !errors.Is(err, errFn) {
+		t.Fatalf("withVault = %v, want %v", err, errFn)
 	}
 }

@@ -5,6 +5,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"time"
@@ -23,8 +24,9 @@ func main() {
 		log.Fatal(err)
 	}
 
-	// A memory-backed vault (pass Config.Dir for durable storage).
-	vault, err := core.Open(core.Config{Name: "quickstart-clinic", Master: master})
+	// A memory-backed vault: a one-shard cluster (pass Config.Dir for
+	// durable storage, a larger count to shard).
+	vault, err := core.OpenCluster(core.Config{Name: "quickstart-clinic", Master: master}, 1)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -53,14 +55,17 @@ func main() {
 		Body:      "Patient presents with elevated blood pressure. Suspected hypertension.",
 		Codes:     []string{"I10"},
 	}
-	ver, err := vault.Put("dr-chen", rec)
+	// Every audited operation takes a context; a trace ID it carries is
+	// written into the operation's audit event.
+	ctx := context.Background()
+	ver, err := vault.PutCtx(ctx, "dr-chen", rec)
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("stored %s as version %d (commitment leaf %d)\n", rec.ID, ver.Number, ver.LeafIndex)
 
 	// Read it back: hash-verified against the commitment before decryption.
-	got, _, err := vault.Get("dr-chen", rec.ID)
+	got, _, err := vault.GetCtx(ctx, "dr-chen", rec.ID)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -69,19 +74,19 @@ func main() {
 	// Patients may request corrections (HIPAA right to amend). Corrections
 	// never overwrite: they append a new version.
 	rec.Body = "Confirmed hypertension stage 1. AMENDMENT: prior note said 'suspected'."
-	ver2, err := vault.Correct("dr-chen", rec)
+	ver2, err := vault.CorrectCtx(ctx, "dr-chen", rec)
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("corrected to version %d; version 1 remains readable:\n", ver2.Number)
-	v1, _, err := vault.GetVersion("dr-chen", rec.ID, 1)
+	v1, _, err := vault.GetVersionCtx(ctx, "dr-chen", rec.ID, 1)
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("  v1: %q\n", v1.Body)
 
 	// Keyword search through the encrypted index.
-	hits, err := vault.Search("dr-chen", "hypertension")
+	hits, err := vault.SearchCtx(ctx, "dr-chen", "hypertension")
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -98,6 +103,6 @@ func main() {
 
 	// Remember the signed tree head off-system; future verifications against
 	// it detect history rewriting.
-	head := vault.Head()
+	head := vault.Heads()[0]
 	fmt.Printf("signed tree head: size=%d root=%x…\n", head.Size, head.Root[:8])
 }

@@ -60,7 +60,7 @@ func makeAll(t *testing.T) map[string]func() (stores.Store, string, string) {
 		},
 		"medvault": func() (stores.Store, string, string) {
 			k, _ := vcrypto.NewKey()
-			vlt, err := core.Open(core.Config{Name: "attack-target", Master: k, Clock: clock.NewVirtual(epoch)})
+			vlt, err := core.OpenCluster(core.Config{Name: "attack-target", Master: k, Clock: clock.NewVirtual(epoch)}, 1)
 			if err != nil {
 				t.Fatal(err)
 			}

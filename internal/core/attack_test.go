@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"strings"
 	"testing"
@@ -19,12 +20,12 @@ import (
 
 func newAdapter(t *testing.T) (*Adapter, *Vault) {
 	t.Helper()
-	v, _ := newVault(t)
-	a, err := NewAdapter(v)
+	c, _ := newCluster(t, 1)
+	a, err := NewAdapter(c)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return a, v
+	return a, c.Shard(0)
 }
 
 func TestAdapterConformance(t *testing.T) {
@@ -100,6 +101,7 @@ func TestVaultDetectsMetadataRollback(t *testing.T) {
 }
 
 func TestVaultDetectsHistoryRewriteViaRememberedHead(t *testing.T) {
+	ctx := context.Background()
 	// Two vaults share the same master (same signing identity). The evil
 	// one rewrites an early record. Against a remembered head from the
 	// honest vault, the evil vault cannot prove consistency.
@@ -108,7 +110,7 @@ func TestVaultDetectsHistoryRewriteViaRememberedHead(t *testing.T) {
 		t.Fatal(err)
 	}
 	mk := func(name string) *Vault {
-		v, err := Open(Config{Name: name, Master: master})
+		v, err := open(Config{Name: name, Master: master})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -131,10 +133,10 @@ func TestVaultDetectsHistoryRewriteViaRememberedHead(t *testing.T) {
 		if r1.Category == ehr.CategoryOccupational {
 			continue
 		}
-		if _, err := honest.Put(actor, r1); err != nil {
+		if _, err := honest.PutCtx(ctx, actor, r1); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := evil.Put(actor, r2); err != nil {
+		if _, err := evil.PutCtx(ctx, actor, r2); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -188,23 +190,24 @@ func TestShredLeavesNoRecoverablePlaintext(t *testing.T) {
 		t.Error("plaintext recoverable after shred")
 	}
 	// Even the vault itself, holding every surviving key, cannot read it.
-	if _, _, err := v.Get("dr-house", rec.ID); !errors.Is(err, ErrShredded) {
+	if _, _, err := v.GetCtx(context.Background(), "dr-house", rec.ID); !errors.Is(err, ErrShredded) {
 		t.Errorf("Get after shred: %v", err)
 	}
 }
 
 func TestAuditChainSurvivesAndDetects(t *testing.T) {
+	ctx := context.Background()
 	_, v := newAdapter(t)
 	rec := clinicalRecord(t, 26)
-	if _, err := v.Put("dr-house", rec); err != nil {
+	if _, err := v.PutCtx(ctx, "dr-house", rec); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 5; i++ {
-		if _, _, err := v.Get("dr-house", rec.ID); err != nil {
+		if _, _, err := v.GetCtx(ctx, "dr-house", rec.ID); err != nil {
 			t.Fatal(err)
 		}
 	}
-	events, err := v.AuditEvents("officer-kim", audit.Query{Record: rec.ID, Action: audit.ActionRead})
+	events, err := v.AuditEventsCtx(ctx, "officer-kim", audit.Query{Record: rec.ID, Action: audit.ActionRead})
 	if err != nil {
 		t.Fatal(err)
 	}

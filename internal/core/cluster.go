@@ -1,4 +1,7 @@
-// Cluster: the multi-vault "cluster in a process".
+// Cluster: the vault deployment, from one shard to many in a process.
+//
+// OpenCluster is the one constructor. core.API is context-only, and a
+// 1-shard cluster is the single-vault deployment.
 //
 // A Cluster hash-partitions record IDs across N independent Vault shards.
 // Each shard is a complete trust boundary — its own WAL, blockstore,
@@ -20,7 +23,7 @@
 // With one shard the Cluster is a pass-through: no manifest is written, the
 // directory layout is the classic single-vault layout, and every operation
 // delegates without wrapping, so behavior (including error text, audit
-// journal, and on-disk fs op sequence) is identical to a bare Vault.
+// journal, and on-disk fs op sequence) is that of its one Vault.
 package core
 
 import (
@@ -73,10 +76,15 @@ func ShardOf(id string, n int) int {
 	return int(h.Sum64() % uint64(n))
 }
 
-// API is the vault operation surface, satisfied by both a single *Vault and
-// a *Cluster. Everything above core — httpapi, backup, migrate, the bench
-// adapter, the simulator — programs against this seam, so "one vault" is a
-// deployment choice, not an architectural assumption.
+// API is the vault operation surface *Cluster implements. Everything above
+// core — httpapi, backup, migrate, the bench adapter, the simulator —
+// programs against this seam, so "one vault" is a deployment choice (a
+// 1-shard cluster), not an architectural assumption.
+//
+// Every audited operation takes a context and there is no context-free
+// variant: a trace ID the context carries is hashed and MACed into the audit
+// event the operation writes, so a caller without a trace passes
+// context.Background() explicitly.
 type API interface {
 	// Identity and lifecycle.
 	Name() string
@@ -91,25 +99,15 @@ type API interface {
 	Retention() *retention.Manager
 
 	// Record operations (routed to one shard).
-	Put(actor string, rec ehr.Record) (Version, error)
 	PutCtx(ctx context.Context, actor string, rec ehr.Record) (Version, error)
-	Get(actor, id string) (ehr.Record, Version, error)
 	GetCtx(ctx context.Context, actor, id string) (ehr.Record, Version, error)
-	GetVersion(actor, id string, number uint64) (ehr.Record, Version, error)
 	GetVersionCtx(ctx context.Context, actor, id string, number uint64) (ehr.Record, Version, error)
-	History(actor, id string) ([]Version, error)
 	HistoryCtx(ctx context.Context, actor, id string) ([]Version, error)
-	Correct(actor string, rec ehr.Record) (Version, error)
 	CorrectCtx(ctx context.Context, actor string, rec ehr.Record) (Version, error)
-	Shred(actor, id string) error
 	ShredCtx(ctx context.Context, actor, id string) error
-	PlaceHold(actor, id, reason string) error
 	PlaceHoldCtx(ctx context.Context, actor, id, reason string) error
-	ReleaseHold(actor, id string) error
 	ReleaseHoldCtx(ctx context.Context, actor, id string) error
-	Provenance(actor, id string) ([]provenance.Event, error)
 	ProvenanceCtx(ctx context.Context, actor, id string) ([]provenance.Event, error)
-	ProveVersion(actor, id string, number uint64) (VersionProof, error)
 	ProveVersionCtx(ctx context.Context, actor, id string, number uint64) (VersionProof, error)
 	VersionCount(id string) (int, error)
 	Export(actor, id string) (ExportBundle, error)
@@ -119,17 +117,11 @@ type API interface {
 	RecordMigratedOut(actor, id, targetSystem string) error
 
 	// Whole-cluster operations (fanned out and merged).
-	Search(actor, keyword string) ([]string, error)
 	SearchCtx(ctx context.Context, actor, keyword string) ([]string, error)
-	SearchAll(actor string, keywords ...string) ([]string, error)
 	SearchAllCtx(ctx context.Context, actor string, keywords ...string) ([]string, error)
-	BreakGlass(actor, reason string, duration time.Duration) error
 	BreakGlassCtx(ctx context.Context, actor, reason string, duration time.Duration) error
-	AuditEvents(actor string, q audit.Query) ([]audit.Event, error)
 	AuditEventsCtx(ctx context.Context, actor string, q audit.Query) ([]audit.Event, error)
-	AccountingOfDisclosures(actor, mrn string) ([]Disclosure, error)
 	AccountingOfDisclosuresCtx(ctx context.Context, actor, mrn string) ([]Disclosure, error)
-	PatientRecords(actor, mrn string) ([]string, error)
 	PatientRecordsCtx(ctx context.Context, actor, mrn string) ([]string, error)
 	VerifyAll(rememberedHeads []merkle.SignedTreeHead, rememberedCheckpoints []audit.Checkpoint) (Report, error)
 	SanitizeMedia(actor string) (int, int64, error)
@@ -137,10 +129,7 @@ type API interface {
 	ExpiredRecords() []string
 }
 
-var (
-	_ API = (*Vault)(nil)
-	_ API = (*Cluster)(nil)
-)
+var _ API = (*Cluster)(nil)
 
 // Cluster hash-partitions records across independent vault shards behind
 // the Vault API. See the package comment above for routing and merge rules.
@@ -212,7 +201,7 @@ func OpenCluster(cfg Config, shards int) (*Cluster, error) {
 				scfg.Dir = filepath.Join(cfg.Dir, "shard-"+strconv.Itoa(i))
 			}
 		}
-		v, err := Open(scfg)
+		v, err := open(scfg)
 		if err != nil {
 			for _, prev := range c.shards {
 				_ = prev.Close()
@@ -439,19 +428,9 @@ func (c *Cluster) Close() error {
 
 // --- routed single-record operations ---
 
-// Put routes to the record's shard. See Vault.Put.
-func (c *Cluster) Put(actor string, rec ehr.Record) (Version, error) {
-	return c.shardFor(rec.ID).Put(actor, rec)
-}
-
 // PutCtx routes to the record's shard. See Vault.PutCtx.
 func (c *Cluster) PutCtx(ctx context.Context, actor string, rec ehr.Record) (Version, error) {
 	return c.shardFor(rec.ID).PutCtx(ctx, actor, rec)
-}
-
-// Get routes to the record's shard. See Vault.Get.
-func (c *Cluster) Get(actor, id string) (ehr.Record, Version, error) {
-	return c.shardFor(id).Get(actor, id)
 }
 
 // GetCtx routes to the record's shard. See Vault.GetCtx.
@@ -459,19 +438,9 @@ func (c *Cluster) GetCtx(ctx context.Context, actor, id string) (ehr.Record, Ver
 	return c.shardFor(id).GetCtx(ctx, actor, id)
 }
 
-// GetVersion routes to the record's shard. See Vault.GetVersion.
-func (c *Cluster) GetVersion(actor, id string, number uint64) (ehr.Record, Version, error) {
-	return c.shardFor(id).GetVersion(actor, id, number)
-}
-
 // GetVersionCtx routes to the record's shard. See Vault.GetVersionCtx.
 func (c *Cluster) GetVersionCtx(ctx context.Context, actor, id string, number uint64) (ehr.Record, Version, error) {
 	return c.shardFor(id).GetVersionCtx(ctx, actor, id, number)
-}
-
-// History routes to the record's shard. See Vault.History.
-func (c *Cluster) History(actor, id string) ([]Version, error) {
-	return c.shardFor(id).History(actor, id)
 }
 
 // HistoryCtx routes to the record's shard. See Vault.HistoryCtx.
@@ -479,27 +448,14 @@ func (c *Cluster) HistoryCtx(ctx context.Context, actor, id string) ([]Version, 
 	return c.shardFor(id).HistoryCtx(ctx, actor, id)
 }
 
-// Correct routes to the record's shard. See Vault.Correct.
-func (c *Cluster) Correct(actor string, rec ehr.Record) (Version, error) {
-	return c.shardFor(rec.ID).Correct(actor, rec)
-}
-
 // CorrectCtx routes to the record's shard. See Vault.CorrectCtx.
 func (c *Cluster) CorrectCtx(ctx context.Context, actor string, rec ehr.Record) (Version, error) {
 	return c.shardFor(rec.ID).CorrectCtx(ctx, actor, rec)
 }
 
-// Shred routes to the record's shard. See Vault.Shred.
-func (c *Cluster) Shred(actor, id string) error { return c.shardFor(id).Shred(actor, id) }
-
 // ShredCtx routes to the record's shard. See Vault.ShredCtx.
 func (c *Cluster) ShredCtx(ctx context.Context, actor, id string) error {
 	return c.shardFor(id).ShredCtx(ctx, actor, id)
-}
-
-// PlaceHold routes to the record's shard. See Vault.PlaceHold.
-func (c *Cluster) PlaceHold(actor, id, reason string) error {
-	return c.shardFor(id).PlaceHold(actor, id, reason)
 }
 
 // PlaceHoldCtx routes to the record's shard. See Vault.PlaceHoldCtx.
@@ -507,29 +463,14 @@ func (c *Cluster) PlaceHoldCtx(ctx context.Context, actor, id, reason string) er
 	return c.shardFor(id).PlaceHoldCtx(ctx, actor, id, reason)
 }
 
-// ReleaseHold routes to the record's shard. See Vault.ReleaseHold.
-func (c *Cluster) ReleaseHold(actor, id string) error {
-	return c.shardFor(id).ReleaseHold(actor, id)
-}
-
 // ReleaseHoldCtx routes to the record's shard. See Vault.ReleaseHoldCtx.
 func (c *Cluster) ReleaseHoldCtx(ctx context.Context, actor, id string) error {
 	return c.shardFor(id).ReleaseHoldCtx(ctx, actor, id)
 }
 
-// Provenance routes to the record's shard. See Vault.Provenance.
-func (c *Cluster) Provenance(actor, id string) ([]provenance.Event, error) {
-	return c.shardFor(id).Provenance(actor, id)
-}
-
 // ProvenanceCtx routes to the record's shard. See Vault.ProvenanceCtx.
 func (c *Cluster) ProvenanceCtx(ctx context.Context, actor, id string) ([]provenance.Event, error) {
 	return c.shardFor(id).ProvenanceCtx(ctx, actor, id)
-}
-
-// ProveVersion routes to the record's shard. See Vault.ProveVersion.
-func (c *Cluster) ProveVersion(actor, id string, number uint64) (VersionProof, error) {
-	return c.shardFor(id).ProveVersion(actor, id, number)
 }
 
 // ProveVersionCtx routes to the record's shard; the proof anchors to that
@@ -568,14 +509,9 @@ func (c *Cluster) RecordMigratedOut(actor, id, targetSystem string) error {
 
 // --- fanned-out whole-cluster operations ---
 
-// Search fans out to every shard and merges the sorted union. Each shard
+// SearchCtx fans out to every shard and merges the sorted union. Each shard
 // audits the search decision on its own chain — the shard that holds a hit
 // must also hold the audit trail of the query that found it.
-func (c *Cluster) Search(actor, keyword string) ([]string, error) {
-	return c.SearchCtx(context.Background(), actor, keyword)
-}
-
-// SearchCtx is Search under a caller-supplied context.
 func (c *Cluster) SearchCtx(ctx context.Context, actor, keyword string) ([]string, error) {
 	if c.single() {
 		return c.shards[0].SearchCtx(ctx, actor, keyword)
@@ -585,12 +521,8 @@ func (c *Cluster) SearchCtx(ctx context.Context, actor, keyword string) ([]strin
 	})
 }
 
-// SearchAll fans out conjunctive search; see Search for audit semantics.
-func (c *Cluster) SearchAll(actor string, keywords ...string) ([]string, error) {
-	return c.SearchAllCtx(context.Background(), actor, keywords...)
-}
-
-// SearchAllCtx is SearchAll under a caller-supplied context.
+// SearchAllCtx fans out conjunctive search; see SearchCtx for audit
+// semantics.
 func (c *Cluster) SearchAllCtx(ctx context.Context, actor string, keywords ...string) ([]string, error) {
 	if c.single() {
 		return c.shards[0].SearchAllCtx(ctx, actor, keywords...)
@@ -622,13 +554,8 @@ func (c *Cluster) mergeSearch(search func(*Vault) ([]string, error)) ([]string, 
 	return merged, nil
 }
 
-// PatientRecords fans out and merges the sorted union (never audited,
-// never errors — see Vault.PatientRecords).
-func (c *Cluster) PatientRecords(actor, mrn string) ([]string, error) {
-	return c.PatientRecordsCtx(context.Background(), actor, mrn)
-}
-
-// PatientRecordsCtx is PatientRecords under a caller-supplied context.
+// PatientRecordsCtx fans out and merges the sorted union (never audited,
+// never errors — see Vault.PatientRecordsCtx).
 func (c *Cluster) PatientRecordsCtx(ctx context.Context, actor, mrn string) ([]string, error) {
 	if c.single() {
 		return c.shards[0].PatientRecordsCtx(ctx, actor, mrn)
@@ -638,15 +565,10 @@ func (c *Cluster) PatientRecordsCtx(ctx context.Context, actor, mrn string) ([]s
 	})
 }
 
-// BreakGlass issues the emergency grant and audits it on every shard, in
+// BreakGlassCtx issues the emergency grant and audits it on every shard, in
 // shard order: the grant elevates access cluster-wide (the authorizer is
 // shared), so every shard's chain must show it. Re-issuing on each shard is
 // an idempotent overwrite of the same grant.
-func (c *Cluster) BreakGlass(actor, reason string, duration time.Duration) error {
-	return c.BreakGlassCtx(context.Background(), actor, reason, duration)
-}
-
-// BreakGlassCtx is BreakGlass under a caller-supplied context.
 func (c *Cluster) BreakGlassCtx(ctx context.Context, actor, reason string, duration time.Duration) error {
 	if c.single() {
 		return c.shards[0].BreakGlassCtx(ctx, actor, reason, duration)
@@ -660,15 +582,10 @@ func (c *Cluster) BreakGlassCtx(ctx context.Context, actor, reason string, durat
 	return firstErr
 }
 
-// AuditEvents queries every shard — each shard audits the query decision on
-// its own chain — and merges matching events chronologically: shard results
-// are concatenated in shard order and stably sorted by timestamp, so
+// AuditEventsCtx queries every shard — each shard audits the query decision
+// on its own chain — and merges matching events chronologically: shard
+// results are concatenated in shard order and stably sorted by timestamp, so
 // same-instant events keep shard order. Seq numbers remain shard-local.
-func (c *Cluster) AuditEvents(actor string, q audit.Query) ([]audit.Event, error) {
-	return c.AuditEventsCtx(context.Background(), actor, q)
-}
-
-// AuditEventsCtx is AuditEvents under a caller-supplied context.
 func (c *Cluster) AuditEventsCtx(ctx context.Context, actor string, q audit.Query) ([]audit.Event, error) {
 	if c.single() {
 		return c.shards[0].AuditEventsCtx(ctx, actor, q)
@@ -695,18 +612,12 @@ func (c *Cluster) AuditEventsCtx(ctx context.Context, actor string, q audit.Quer
 	return merged, nil
 }
 
-// AccountingOfDisclosures fans the statutory accounting across shards:
+// AccountingOfDisclosuresCtx fans the statutory accounting across shards:
 // every shard audits the query decision (sequentially, in shard order),
 // then each shard reconstructs the disclosures of the records it holds, and
 // the per-shard ledgers are concatenated in shard order and stably sorted
 // by timestamp — the same final ordering pass a single vault applies, so
 // ties keep shard order deterministically.
-func (c *Cluster) AccountingOfDisclosures(actor, mrn string) ([]Disclosure, error) {
-	return c.AccountingOfDisclosuresCtx(context.Background(), actor, mrn)
-}
-
-// AccountingOfDisclosuresCtx is AccountingOfDisclosures under a
-// caller-supplied context.
 func (c *Cluster) AccountingOfDisclosuresCtx(ctx context.Context, actor, mrn string) (_ []Disclosure, retErr error) {
 	if c.single() {
 		return c.shards[0].AccountingOfDisclosuresCtx(ctx, actor, mrn)

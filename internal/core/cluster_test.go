@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"os"
@@ -12,8 +13,8 @@ import (
 	"time"
 
 	"medvault/internal/audit"
-	"medvault/internal/authz"
 	"medvault/internal/clock"
+	"medvault/internal/ehr"
 	"medvault/internal/vcrypto"
 )
 
@@ -24,9 +25,9 @@ import (
 // migration path — update these constants only as part of one.
 func TestShardOfGolden(t *testing.T) {
 	golden := []struct {
-		id      string
-		n       int
-		want    int
+		id   string
+		n    int
+		want int
 	}{
 		{"", 2, 1}, {"", 4, 1}, {"", 8, 5},
 		{"rec-0001", 2, 1}, {"rec-0001", 4, 3}, {"rec-0001", 8, 7},
@@ -77,10 +78,47 @@ func auditKey(e audit.Event) string {
 		e.Seq, e.Timestamp.Format(time.RFC3339Nano), e.Actor, e.Action, e.Version, e.Record, e.Outcome, e.Detail)
 }
 
-// driveWorkload runs the scripted compliance workload against any API
-// implementation, returning the errors observed (for cross-run comparison).
-func driveWorkload(t *testing.T, v API, vc *clock.Virtual) []string {
+// TestAPIHasNoContextFreeTwins: every audited operation has exactly one
+// entry point, and it takes a context. A context-free twin M next to MCtx
+// would write audit events that can never carry the caller's trace ID.
+func TestAPIHasNoContextFreeTwins(t *testing.T) {
+	for _, typ := range []reflect.Type{
+		reflect.TypeOf((*API)(nil)).Elem(),
+		reflect.TypeOf((*Cluster)(nil)),
+		reflect.TypeOf((*Vault)(nil)),
+	} {
+		if typ.NumMethod() == 0 {
+			t.Fatalf("%v has no exported methods; the check proves nothing", typ)
+		}
+		for i := 0; i < typ.NumMethod(); i++ {
+			name := typ.Method(i).Name
+			if _, ok := typ.MethodByName(name + "Ctx"); ok {
+				t.Errorf("%v has both %s and %sCtx; keep only the context-taking %sCtx", typ, name, name, name)
+			}
+		}
+	}
+}
+
+// workloadTarget is the part of the operation surface driveWorkload uses,
+// provided by both a Cluster and one of its shard Vaults.
+type workloadTarget interface {
+	PutCtx(ctx context.Context, actor string, rec ehr.Record) (Version, error)
+	GetCtx(ctx context.Context, actor, id string) (ehr.Record, Version, error)
+	HistoryCtx(ctx context.Context, actor, id string) ([]Version, error)
+	CorrectCtx(ctx context.Context, actor string, rec ehr.Record) (Version, error)
+	ShredCtx(ctx context.Context, actor, id string) error
+	PlaceHoldCtx(ctx context.Context, actor, id, reason string) error
+	ReleaseHoldCtx(ctx context.Context, actor, id string) error
+	SearchCtx(ctx context.Context, actor, keyword string) ([]string, error)
+	BreakGlassCtx(ctx context.Context, actor, reason string, duration time.Duration) error
+	AccountingOfDisclosuresCtx(ctx context.Context, actor, mrn string) ([]Disclosure, error)
+}
+
+// driveWorkload runs the scripted compliance workload against v, returning
+// the errors observed (for cross-run comparison).
+func driveWorkload(t *testing.T, v workloadTarget, vc *clock.Virtual) []string {
 	t.Helper()
+	ctx := context.Background()
 	var outcomes []string
 	note := func(step string, err error) {
 		outcomes = append(outcomes, fmt.Sprintf("%s: err=%v", step, err))
@@ -89,36 +127,36 @@ func driveWorkload(t *testing.T, v API, vc *clock.Virtual) []string {
 	denied := recs[6]
 	recs = recs[:6]
 	for i, r := range recs {
-		_, err := v.Put("dr-house", r)
+		_, err := v.PutCtx(ctx, "dr-house", r)
 		note(fmt.Sprintf("put-%d", i), err)
 	}
 	vc.Advance(time.Hour)
-	_, _, err := v.Get("nurse-joy", recs[0].ID)
+	_, _, err := v.GetCtx(ctx, "nurse-joy", recs[0].ID)
 	note("get-nurse", err)
-	_, err = v.Put("nurse-joy", denied)
+	_, err = v.PutCtx(ctx, "nurse-joy", denied)
 	note("put-denied", err)
-	_, _, err = v.Get("dr-house", "no-such-record")
+	_, _, err = v.GetCtx(ctx, "dr-house", "no-such-record")
 	note("get-missing", err)
 	fix := recs[1]
 	fix.Body = "corrected " + fix.Body
-	_, err = v.Correct("dr-house", fix)
+	_, err = v.CorrectCtx(ctx, "dr-house", fix)
 	note("correct", err)
-	err = v.BreakGlass("clerk-bob", "er consult", 30*time.Minute)
+	err = v.BreakGlassCtx(ctx, "clerk-bob", "er consult", 30*time.Minute)
 	note("break-glass", err)
-	_, _, err = v.Get("clerk-bob", recs[2].ID)
+	_, _, err = v.GetCtx(ctx, "clerk-bob", recs[2].ID)
 	note("get-break-glass", err)
-	err = v.PlaceHold("officer-kim", recs[3].ID, "litigation 44-B")
+	err = v.PlaceHoldCtx(ctx, "officer-kim", recs[3].ID, "litigation 44-B")
 	note("hold", err)
-	err = v.Shred("arch-lee", recs[3].ID)
+	err = v.ShredCtx(ctx, "arch-lee", recs[3].ID)
 	note("shred-held", err)
-	err = v.ReleaseHold("officer-kim", recs[3].ID)
+	err = v.ReleaseHoldCtx(ctx, "officer-kim", recs[3].ID)
 	note("release", err)
 	vc.Advance(time.Hour)
-	ids, err := v.Search("dr-house", strings.Fields(recs[4].Title)[0])
+	ids, err := v.SearchCtx(ctx, "dr-house", strings.Fields(recs[4].Title)[0])
 	note(fmt.Sprintf("search(%d)", len(ids)), err)
-	_, err = v.AccountingOfDisclosures("officer-kim", recs[0].MRN)
+	_, err = v.AccountingOfDisclosuresCtx(ctx, "officer-kim", recs[0].MRN)
 	note("disclosures", err)
-	_, err = v.History("dr-house", recs[1].ID)
+	_, err = v.HistoryCtx(ctx, "dr-house", recs[1].ID)
 	note("history", err)
 	return outcomes
 }
@@ -129,12 +167,13 @@ func driveWorkload(t *testing.T, v API, vc *clock.Virtual) []string {
 // caller observes), the VerifyAll report, the tree-head size, and every
 // step's error must match exactly.
 func TestClusterOneShardEquivalence(t *testing.T) {
+	ctx := context.Background()
 	master, err := vcrypto.NewKey()
 	if err != nil {
 		t.Fatal(err)
 	}
 	vcA, vcB := clock.NewVirtual(testEpoch), clock.NewVirtual(testEpoch)
-	bare, err := Open(Config{Name: "equiv", Master: master, Clock: vcA})
+	bare, err := open(Config{Name: "equiv", Master: master, Clock: vcA})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,7 +184,7 @@ func TestClusterOneShardEquivalence(t *testing.T) {
 	}
 	defer clu.Close()
 	registerStaff(t, bare)
-	registerStaffAPI(t, clu)
+	registerStaff(t, clu)
 
 	outA := driveWorkload(t, bare, vcA)
 	outB := driveWorkload(t, clu, vcB)
@@ -161,16 +200,16 @@ func TestClusterOneShardEquivalence(t *testing.T) {
 	if repA != repB {
 		t.Errorf("VerifyAll reports diverge:\nbare:    %+v\ncluster: %+v", repA, repB)
 	}
-	headsA, headsB := bare.Heads(), clu.Heads()
-	if len(headsB) != 1 || headsA[0].Size != headsB[0].Size {
-		t.Errorf("heads diverge: bare size %d, cluster %v", headsA[0].Size, headsB)
+	headA, headsB := bare.Head(), clu.Heads()
+	if len(headsB) != 1 || headA.Size != headsB[0].Size {
+		t.Errorf("heads diverge: bare size %d, cluster %v", headA.Size, headsB)
 	}
 
-	evA, err := bare.AuditEvents("officer-kim", audit.Query{})
+	evA, err := bare.AuditEventsCtx(ctx, "officer-kim", audit.Query{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	evB, err := clu.AuditEvents("officer-kim", audit.Query{})
+	evB, err := clu.AuditEventsCtx(ctx, "officer-kim", audit.Query{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -180,25 +219,6 @@ func TestClusterOneShardEquivalence(t *testing.T) {
 	for i := range evA {
 		if auditKey(evA[i]) != auditKey(evB[i]) {
 			t.Errorf("audit event %d diverges:\nbare:    %s\ncluster: %s", i, auditKey(evA[i]), auditKey(evB[i]))
-		}
-	}
-}
-
-func registerStaffAPI(t *testing.T, v API) {
-	t.Helper()
-	a := v.Authz()
-	for _, r := range authz.StandardRoles() {
-		a.DefineRole(r)
-	}
-	for id, role := range map[string]string{
-		"dr-house":    "physician",
-		"nurse-joy":   "nurse",
-		"clerk-bob":   "billing-clerk",
-		"officer-kim": "compliance-officer",
-		"arch-lee":    "archivist",
-	} {
-		if err := a.AddPrincipal(id, role); err != nil {
-			t.Fatal(err)
 		}
 	}
 }
@@ -216,7 +236,7 @@ func newCluster(t *testing.T, n int) (*Cluster, *clock.Virtual) {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { c.Close() })
-	registerStaffAPI(t, c)
+	registerStaff(t, c)
 	return c, vc
 }
 
@@ -224,11 +244,12 @@ func newCluster(t *testing.T, n int) (*Cluster, *clock.Virtual) {
 // land on their hashed shard, cluster-wide observables are merged sorted
 // unions, and cross-shard search/disclosures see everything.
 func TestClusterRoutingAndMerge(t *testing.T) {
+	ctx := context.Background()
 	c, _ := newCluster(t, 4)
 	var ids []string
 	perShard := make([]int, 4)
 	for i, rec := range clinicalRecords(t, 300, 12) {
-		if _, err := c.Put("dr-house", rec); err != nil {
+		if _, err := c.PutCtx(ctx, "dr-house", rec); err != nil {
 			t.Fatalf("put %d: %v", i, err)
 		}
 		ids = append(ids, rec.ID)
@@ -250,7 +271,7 @@ func TestClusterRoutingAndMerge(t *testing.T) {
 		t.Errorf("RecordIDs = %v, want %v", got, ids)
 	}
 	for _, id := range ids {
-		if _, _, err := c.Get("dr-house", id); err != nil {
+		if _, _, err := c.GetCtx(ctx, "dr-house", id); err != nil {
 			t.Errorf("get %s: %v", id, err)
 		}
 	}
@@ -283,7 +304,7 @@ func TestClusterRoutingAndMerge(t *testing.T) {
 func TestClusterFanOutErrorAggregation(t *testing.T) {
 	c, _ := newCluster(t, 2)
 	for _, rec := range clinicalRecords(t, 400, 6) {
-		if _, err := c.Put("dr-house", rec); err != nil {
+		if _, err := c.PutCtx(context.Background(), "dr-house", rec); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -340,9 +361,9 @@ func TestOpenClusterLayout(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	registerStaffAPI(t, c)
+	registerStaff(t, c)
 	for _, rec := range clinicalRecords(t, 500, 5) {
-		if _, err := c.Put("dr-house", rec); err != nil {
+		if _, err := c.PutCtx(context.Background(), "dr-house", rec); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -372,7 +393,7 @@ func TestOpenClusterLayout(t *testing.T) {
 
 	// A single-vault directory cannot be sharded in place.
 	soloDir := t.TempDir()
-	solo, err := Open(Config{Name: "solo", Master: master, Clock: vc, Dir: soloDir})
+	solo, err := open(Config{Name: "solo", Master: master, Clock: vc, Dir: soloDir})
 	if err != nil {
 		t.Fatal(err)
 	}

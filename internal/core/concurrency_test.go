@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"sync"
@@ -24,6 +25,7 @@ func stressRecord(id string) ehr.Record {
 // stripe directly, proves a Put hashing to a different stripe completes
 // anyway, and proves a Put hashing to the seized stripe blocks until release.
 func TestCrossRecordPutsDoNotSerialize(t *testing.T) {
+	ctx := context.Background()
 	v, _ := newVault(t)
 
 	const idA = "stripe-anchor"
@@ -45,7 +47,7 @@ func TestCrossRecordPutsDoNotSerialize(t *testing.T) {
 	// A writer on a different stripe commutes with the held one.
 	done := make(chan error, 1)
 	go func() {
-		_, err := v.Put("dr-house", stressRecord(otherStripe))
+		_, err := v.PutCtx(ctx, "dr-house", stressRecord(otherStripe))
 		done <- err
 	}()
 	select {
@@ -61,7 +63,7 @@ func TestCrossRecordPutsDoNotSerialize(t *testing.T) {
 	// A writer on the held stripe must wait for it.
 	blocked := make(chan error, 1)
 	go func() {
-		_, err := v.Put("dr-house", stressRecord(sameStripe))
+		_, err := v.PutCtx(ctx, "dr-house", stressRecord(sameStripe))
 		blocked <- err
 	}()
 	select {
@@ -85,9 +87,10 @@ func TestCrossRecordPutsDoNotSerialize(t *testing.T) {
 // ErrClosed — nothing in between — and everything that succeeded is durable
 // and verifiable after reopen.
 func TestCloseDrainsInflightOps(t *testing.T) {
+	ctx := context.Background()
 	master := mustKey(t)
 	dir := t.TempDir()
-	v, err := Open(Config{Name: "close-race", Master: master, Clock: mustClock(), Dir: dir})
+	v, err := open(Config{Name: "close-race", Master: master, Clock: mustClock(), Dir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,7 +109,7 @@ func TestCloseDrainsInflightOps(t *testing.T) {
 			defer wg.Done()
 			for i := 0; ; i++ {
 				id := fmt.Sprintf("close-race-w%d-%d", w, i)
-				_, err := v.Put("dr-house", stressRecord(id))
+				_, err := v.PutCtx(ctx, "dr-house", stressRecord(id))
 				switch {
 				case err == nil:
 					mu.Lock()
@@ -118,7 +121,7 @@ func TestCloseDrainsInflightOps(t *testing.T) {
 					errc <- fmt.Errorf("Put %s racing Close: %v", id, err)
 					return
 				}
-				if _, _, err := v.Get("dr-house", id); err != nil {
+				if _, _, err := v.GetCtx(ctx, "dr-house", id); err != nil {
 					// The Put above succeeded, so the only legitimate failure
 					// is the vault having closed in between — never a
 					// tampering report from a half-released store.
@@ -144,7 +147,7 @@ func TestCloseDrainsInflightOps(t *testing.T) {
 	}
 
 	// Every Put that reported success must have survived the close.
-	v2, err := Open(Config{Name: "close-race", Master: master, Clock: mustClock(), Dir: dir})
+	v2, err := open(Config{Name: "close-race", Master: master, Clock: mustClock(), Dir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,7 +157,7 @@ func TestCloseDrainsInflightOps(t *testing.T) {
 		t.Errorf("reopened Len = %d, want %d committed records", got, len(committed))
 	}
 	for _, id := range committed {
-		if _, _, err := v2.Get("dr-house", id); err != nil {
+		if _, _, err := v2.GetCtx(ctx, "dr-house", id); err != nil {
 			t.Errorf("record %s committed before Close but unreadable after reopen: %v", id, err)
 		}
 	}
@@ -166,24 +169,25 @@ func TestCloseDrainsInflightOps(t *testing.T) {
 // TestClosedVaultFailsFast: every gated operation reports ErrClosed once
 // Close has run.
 func TestClosedVaultFailsFast(t *testing.T) {
+	ctx := context.Background()
 	v, _ := newVault(t)
 	rec := stressRecord("closed-vault-probe")
-	if _, err := v.Put("dr-house", rec); err != nil {
+	if _, err := v.PutCtx(ctx, "dr-house", rec); err != nil {
 		t.Fatal(err)
 	}
 	if err := v.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := v.Put("dr-house", stressRecord("after-close")); !errors.Is(err, ErrClosed) {
+	if _, err := v.PutCtx(ctx, "dr-house", stressRecord("after-close")); !errors.Is(err, ErrClosed) {
 		t.Errorf("Put after Close = %v, want ErrClosed", err)
 	}
-	if _, _, err := v.Get("dr-house", rec.ID); !errors.Is(err, ErrClosed) {
+	if _, _, err := v.GetCtx(ctx, "dr-house", rec.ID); !errors.Is(err, ErrClosed) {
 		t.Errorf("Get after Close = %v, want ErrClosed", err)
 	}
-	if _, err := v.Search("dr-house", "probe"); !errors.Is(err, ErrClosed) {
+	if _, err := v.SearchCtx(ctx, "dr-house", "probe"); !errors.Is(err, ErrClosed) {
 		t.Errorf("Search after Close = %v, want ErrClosed", err)
 	}
-	if err := v.Shred("arch-lee", rec.ID); !errors.Is(err, ErrClosed) {
+	if err := v.ShredCtx(ctx, "arch-lee", rec.ID); !errors.Is(err, ErrClosed) {
 		t.Errorf("Shred after Close = %v, want ErrClosed", err)
 	}
 	if _, err := v.VerifyAll(nil, nil); !errors.Is(err, ErrClosed) {
@@ -197,6 +201,7 @@ func TestClosedVaultFailsFast(t *testing.T) {
 // TestConcurrentVaultOperations hammers one vault from many goroutines and
 // then checks full integrity: no lost versions, no broken chains.
 func TestConcurrentVaultOperations(t *testing.T) {
+	ctx := context.Background()
 	v, _ := newVault(t)
 	const writers = 8
 	const perWriter = 25
@@ -215,23 +220,23 @@ func TestConcurrentVaultOperations(t *testing.T) {
 					Author:   "dr-house", CreatedAt: testEpoch,
 					Title: "t", Body: fmt.Sprintf("note %d from writer %d with hypertension", i, w),
 				}
-				if _, err := v.Put("dr-house", rec); err != nil {
+				if _, err := v.PutCtx(ctx, "dr-house", rec); err != nil {
 					errs <- fmt.Errorf("put w%d/%d: %w", w, i, err)
 					return
 				}
-				if _, _, err := v.Get("dr-house", rec.ID); err != nil {
+				if _, _, err := v.GetCtx(ctx, "dr-house", rec.ID); err != nil {
 					errs <- fmt.Errorf("get w%d/%d: %w", w, i, err)
 					return
 				}
 				if i%5 == 0 {
 					rec.Body += " corrected"
-					if _, err := v.Correct("dr-house", rec); err != nil {
+					if _, err := v.CorrectCtx(ctx, "dr-house", rec); err != nil {
 						errs <- fmt.Errorf("correct w%d/%d: %w", w, i, err)
 						return
 					}
 				}
 				if i%7 == 0 {
-					if _, err := v.Search("dr-house", "hypertension"); err != nil {
+					if _, err := v.SearchCtx(ctx, "dr-house", "hypertension"); err != nil {
 						errs <- fmt.Errorf("search w%d/%d: %w", w, i, err)
 						return
 					}

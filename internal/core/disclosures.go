@@ -23,18 +23,12 @@ type Disclosure struct {
 	BreakGlass bool // the access rode an emergency grant
 }
 
-// AccountingOfDisclosures answers a patient's (or their representative's)
+// AccountingOfDisclosuresCtx answers a patient's (or their representative's)
 // statutory request: every access to every record carrying the patient's
 // MRN, in chronological order, reconstructed from the audit chain. Denied
 // attempts are included — a patient is entitled to know who *tried*.
 //
 // The query requires audit permission and is itself audited.
-func (v *Vault) AccountingOfDisclosures(actor, mrn string) ([]Disclosure, error) {
-	return v.AccountingOfDisclosuresCtx(context.Background(), actor, mrn)
-}
-
-// AccountingOfDisclosuresCtx is AccountingOfDisclosures under a
-// caller-supplied context.
 func (v *Vault) AccountingOfDisclosuresCtx(ctx context.Context, actor, mrn string) (_ []Disclosure, retErr error) {
 	ctx, sp := v.span(ctx, "core.disclosures")
 	defer func() { sp.End(retErr) }()
@@ -128,16 +122,12 @@ func (v *Vault) disclosuresScan(mrn string) (out []Disclosure, found bool) {
 	return out, true
 }
 
-// PatientRecords returns the record IDs carrying the patient's MRN that the
+// PatientRecordsCtx returns the record IDs carrying the patient's MRN that the
 // actor is permitted to read — the entry point for a patient-access request
 // (HIPAA right of access, the paper's "individuals have the right to
 // request correction" precondition).
-func (v *Vault) PatientRecords(actor, mrn string) ([]string, error) {
-	return v.PatientRecordsCtx(context.Background(), actor, mrn)
-}
-
-// PatientRecordsCtx is PatientRecords under a caller-supplied context. The
-// scan is pure in-memory registry work, so the span has no children; it
+//
+// The scan is pure in-memory registry work, so the span has no children; it
 // exists so patient-access requests are visible in traces like every other
 // operation.
 func (v *Vault) PatientRecordsCtx(ctx context.Context, actor, mrn string) (_ []string, retErr error) {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"errors"
 	"testing"
 	"time"
@@ -10,6 +11,7 @@ import (
 )
 
 func TestAccountingOfDisclosures(t *testing.T) {
+	ctx := context.Background()
 	v, _ := newVault(t)
 	mk := func(id string) ehr.Record {
 		return ehr.Record{
@@ -25,23 +27,23 @@ func TestAccountingOfDisclosures(t *testing.T) {
 		CreatedAt: testEpoch, Title: "note", Body: "unrelated",
 	}
 	for _, r := range []ehr.Record{recA, recB, other} {
-		if _, err := v.Put("dr-house", r); err != nil {
+		if _, err := v.PutCtx(ctx, "dr-house", r); err != nil {
 			t.Fatal(err)
 		}
 	}
 	// Accesses: two reads by the physician, one read by the nurse, one
 	// denied attempt by the clerk, one break-glass read by the clerk.
-	v.Get("dr-house", recA.ID)
-	v.Get("dr-house", recB.ID)
-	v.Get("nurse-joy", recA.ID)
-	v.Get("clerk-bob", recA.ID) // denied
-	if err := v.BreakGlass("clerk-bob", "after-hours emergency", time.Hour); err != nil {
+	v.GetCtx(ctx, "dr-house", recA.ID)
+	v.GetCtx(ctx, "dr-house", recB.ID)
+	v.GetCtx(ctx, "nurse-joy", recA.ID)
+	v.GetCtx(ctx, "clerk-bob", recA.ID) // denied
+	if err := v.BreakGlassCtx(ctx, "clerk-bob", "after-hours emergency", time.Hour); err != nil {
 		t.Fatal(err)
 	}
-	v.Get("clerk-bob", recA.ID) // break-glass read
-	v.Get("dr-house", other.ID) // different patient: must not appear
+	v.GetCtx(ctx, "clerk-bob", recA.ID) // break-glass read
+	v.GetCtx(ctx, "dr-house", other.ID) // different patient: must not appear
 
-	disclosures, err := v.AccountingOfDisclosures("officer-kim", "mrn-777")
+	disclosures, err := v.AccountingOfDisclosuresCtx(ctx, "officer-kim", "mrn-777")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,16 +83,17 @@ func TestAccountingOfDisclosures(t *testing.T) {
 	}
 
 	// Authorization: physicians cannot pull accountings.
-	if _, err := v.AccountingOfDisclosures("dr-house", "mrn-777"); !errors.Is(err, ErrDenied) {
+	if _, err := v.AccountingOfDisclosuresCtx(ctx, "dr-house", "mrn-777"); !errors.Is(err, ErrDenied) {
 		t.Errorf("physician accounting: %v", err)
 	}
 	// Unknown MRN.
-	if _, err := v.AccountingOfDisclosures("officer-kim", "mrn-000"); !errors.Is(err, ErrNotFound) {
+	if _, err := v.AccountingOfDisclosuresCtx(ctx, "officer-kim", "mrn-000"); !errors.Is(err, ErrNotFound) {
 		t.Errorf("unknown MRN: %v", err)
 	}
 }
 
 func TestPatientRecords(t *testing.T) {
+	ctx := context.Background()
 	v, _ := newVault(t)
 	clin := ehr.Record{
 		ID: "mrn-9/enc-0", MRN: "mrn-9", Patient: "P", Category: ehr.CategoryClinical,
@@ -100,29 +103,30 @@ func TestPatientRecords(t *testing.T) {
 		ID: "mrn-9/bill-0", MRN: "mrn-9", Patient: "P", Category: ehr.CategoryBilling,
 		Author: "clerk-bob", CreatedAt: testEpoch, Title: "t", Body: "b",
 	}
-	if _, err := v.Put("dr-house", clin); err != nil {
+	if _, err := v.PutCtx(ctx, "dr-house", clin); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := v.Put("clerk-bob", bill); err != nil {
+	if _, err := v.PutCtx(ctx, "clerk-bob", bill); err != nil {
 		t.Fatal(err)
 	}
 	// The physician sees the clinical record only; the clerk the billing one.
-	got, err := v.PatientRecords("dr-house", "mrn-9")
+	got, err := v.PatientRecordsCtx(ctx, "dr-house", "mrn-9")
 	if err != nil || len(got) != 1 || got[0] != clin.ID {
 		t.Errorf("physician view = %v, %v", got, err)
 	}
-	got, err = v.PatientRecords("clerk-bob", "mrn-9")
+	got, err = v.PatientRecordsCtx(ctx, "clerk-bob", "mrn-9")
 	if err != nil || len(got) != 1 || got[0] != bill.ID {
 		t.Errorf("clerk view = %v, %v", got, err)
 	}
 	// Shredded records drop out of the patient view (but stay in the
 	// accounting, which TestAccountingOfDisclosures covers).
-	if got, _ := v.PatientRecords("dr-house", "mrn-none"); len(got) != 0 {
+	if got, _ := v.PatientRecordsCtx(ctx, "dr-house", "mrn-none"); len(got) != 0 {
 		t.Errorf("unknown MRN view = %v", got)
 	}
 }
 
 func TestDisclosuresSurviveReopen(t *testing.T) {
+	ctx := context.Background()
 	dir := t.TempDir()
 	master, vc := mustKey(t), mustClock()
 	v := openDurable(t, dir, master, vc)
@@ -130,10 +134,10 @@ func TestDisclosuresSurviveReopen(t *testing.T) {
 		ID: "mrn-5/enc-0", MRN: "mrn-5", Patient: "P", Category: ehr.CategoryClinical,
 		Author: "dr-house", CreatedAt: testEpoch, Title: "t", Body: "b",
 	}
-	if _, err := v.Put("dr-house", rec); err != nil {
+	if _, err := v.PutCtx(ctx, "dr-house", rec); err != nil {
 		t.Fatal(err)
 	}
-	v.Get("dr-house", rec.ID)
+	v.GetCtx(ctx, "dr-house", rec.ID)
 	if err := v.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -144,7 +148,7 @@ func TestDisclosuresSurviveReopen(t *testing.T) {
 	if err := re.Authz().AddPrincipal("officer-kim", "compliance-officer"); err != nil {
 		t.Fatal(err)
 	}
-	disclosures, err := re.AccountingOfDisclosures("officer-kim", "mrn-5")
+	disclosures, err := re.AccountingOfDisclosuresCtx(ctx, "officer-kim", "mrn-5")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"errors"
 	"os"
 	"path/filepath"
@@ -18,9 +19,9 @@ import (
 // openDurable opens a file-backed vault in dir with standard staff.
 func openDurable(t *testing.T, dir string, master vcrypto.Key, vc *clock.Virtual) *Vault {
 	t.Helper()
-	v, err := Open(Config{Name: "durable", Master: master, Clock: vc, Dir: dir})
+	v, err := open(Config{Name: "durable", Master: master, Clock: vc, Dir: dir})
 	if err != nil {
-		t.Fatalf("Open(%s): %v", dir, err)
+		t.Fatalf("open(%s): %v", dir, err)
 	}
 	a := v.Authz()
 	for _, r := range authz.StandardRoles() {
@@ -36,6 +37,7 @@ func openDurable(t *testing.T, dir string, master vcrypto.Key, vc *clock.Virtual
 }
 
 func TestDurableReopenAfterClose(t *testing.T) {
+	ctx := context.Background()
 	dir := t.TempDir()
 	master, _ := vcrypto.NewKey()
 	vc := clock.NewVirtual(testEpoch)
@@ -49,7 +51,7 @@ func TestDurableReopenAfterClose(t *testing.T) {
 		if r.Category == ehr.CategoryBilling || r.Category == ehr.CategoryOccupational {
 			continue
 		}
-		if _, err := v.Put("dr-house", r); err != nil {
+		if _, err := v.PutCtx(ctx, "dr-house", r); err != nil {
 			t.Fatal(err)
 		}
 		ids = append(ids, r.ID)
@@ -66,7 +68,7 @@ func TestDurableReopenAfterClose(t *testing.T) {
 		t.Fatalf("reopened Len = %d, want %d", re.Len(), len(ids))
 	}
 	for i, id := range ids {
-		rec, _, err := re.Get("dr-house", id)
+		rec, _, err := re.GetCtx(ctx, "dr-house", id)
 		if err != nil {
 			t.Fatalf("Get(%s) after reopen: %v", id, err)
 		}
@@ -79,7 +81,7 @@ func TestDurableReopenAfterClose(t *testing.T) {
 		t.Fatalf("VerifyAll after reopen: %v", err)
 	}
 	// Search still works (index restored from snapshot).
-	hits, err := re.Search("dr-house", ehr.CommonCondition())
+	hits, err := re.SearchCtx(ctx, "dr-house", ehr.CommonCondition())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,12 +93,13 @@ func TestDurableReopenAfterClose(t *testing.T) {
 	for r.Category != ehr.CategoryClinical {
 		r = g.Next()
 	}
-	if _, err := re.Put("dr-house", r); err != nil {
+	if _, err := re.PutCtx(ctx, "dr-house", r); err != nil {
 		t.Fatalf("Put after reopen: %v", err)
 	}
 }
 
 func TestDurableCrashRecoveryViaWAL(t *testing.T) {
+	ctx := context.Background()
 	dir := t.TempDir()
 	master, _ := vcrypto.NewKey()
 	vc := clock.NewVirtual(testEpoch)
@@ -106,11 +109,11 @@ func TestDurableCrashRecoveryViaWAL(t *testing.T) {
 	var rec ehr.Record
 	for rec = g.Next(); rec.Category != ehr.CategoryClinical; rec = g.Next() {
 	}
-	if _, err := v.Put("dr-house", rec); err != nil {
+	if _, err := v.PutCtx(ctx, "dr-house", rec); err != nil {
 		t.Fatal(err)
 	}
 	corr := g.Correction(rec)
-	if _, err := v.Correct("dr-house", corr); err != nil {
+	if _, err := v.CorrectCtx(ctx, "dr-house", corr); err != nil {
 		t.Fatal(err)
 	}
 	// Simulate a crash: no Close, no snapshot. Recovery must come from the
@@ -119,14 +122,14 @@ func TestDurableCrashRecoveryViaWAL(t *testing.T) {
 
 	re := openDurable(t, dir, master, vc)
 	defer re.Close()
-	got, ver, err := re.Get("dr-house", rec.ID)
+	got, ver, err := re.GetCtx(ctx, "dr-house", rec.ID)
 	if err != nil {
 		t.Fatalf("Get after crash: %v", err)
 	}
 	if ver.Number != 2 || !strings.Contains(got.Body, "AMENDMENT") {
 		t.Errorf("correction lost in crash recovery: v%d", ver.Number)
 	}
-	hist, err := re.History("dr-house", rec.ID)
+	hist, err := re.HistoryCtx(ctx, "dr-house", rec.ID)
 	if err != nil || len(hist) != 2 {
 		t.Fatalf("history after crash: %d, %v", len(hist), err)
 	}
@@ -136,6 +139,7 @@ func TestDurableCrashRecoveryViaWAL(t *testing.T) {
 }
 
 func TestDurableShredSurvivesReopen(t *testing.T) {
+	ctx := context.Background()
 	dir := t.TempDir()
 	master, _ := vcrypto.NewKey()
 	vc := clock.NewVirtual(testEpoch)
@@ -143,11 +147,11 @@ func TestDurableShredSurvivesReopen(t *testing.T) {
 	v := openDurable(t, dir, master, vc)
 	rec := ehr.NewGenerator(32, testEpoch).Next()
 	rec.CreatedAt = testEpoch
-	if _, err := v.Put("dr-house", rec); err != nil {
+	if _, err := v.PutCtx(ctx, "dr-house", rec); err != nil {
 		t.Fatal(err)
 	}
 	vc.Advance(40 * 365 * 24 * time.Hour)
-	if err := v.Shred("arch-lee", rec.ID); err != nil {
+	if err := v.ShredCtx(ctx, "arch-lee", rec.ID); err != nil {
 		t.Fatalf("Shred: %v", err)
 	}
 	if err := v.Close(); err != nil {
@@ -156,10 +160,10 @@ func TestDurableShredSurvivesReopen(t *testing.T) {
 
 	re := openDurable(t, dir, master, vc)
 	defer re.Close()
-	if _, _, err := re.Get("dr-house", rec.ID); !errors.Is(err, ErrShredded) {
+	if _, _, err := re.GetCtx(ctx, "dr-house", rec.ID); !errors.Is(err, ErrShredded) {
 		t.Errorf("shred lost across reopen: %v", err)
 	}
-	if _, err := re.Put("dr-house", rec); !errors.Is(err, ErrShredded) {
+	if _, err := re.PutCtx(ctx, "dr-house", rec); !errors.Is(err, ErrShredded) {
 		t.Errorf("shredded ID reusable after reopen: %v", err)
 	}
 	if _, err := re.VerifyAll(nil, nil); err != nil {
@@ -168,38 +172,40 @@ func TestDurableShredSurvivesReopen(t *testing.T) {
 }
 
 func TestDurableCrashAfterShredWALReplay(t *testing.T) {
+	ctx := context.Background()
 	dir := t.TempDir()
 	master, _ := vcrypto.NewKey()
 	vc := clock.NewVirtual(testEpoch)
 	v := openDurable(t, dir, master, vc)
 	rec := ehr.NewGenerator(33, testEpoch).Next()
 	rec.CreatedAt = testEpoch
-	if _, err := v.Put("dr-house", rec); err != nil {
+	if _, err := v.PutCtx(ctx, "dr-house", rec); err != nil {
 		t.Fatal(err)
 	}
 	vc.Advance(40 * 365 * 24 * time.Hour)
-	if err := v.Shred("arch-lee", rec.ID); err != nil {
+	if err := v.ShredCtx(ctx, "arch-lee", rec.ID); err != nil {
 		t.Fatal(err)
 	}
 	// Crash without Close: the shred lives only in the WAL.
 	re := openDurable(t, dir, master, vc)
 	defer re.Close()
-	if _, _, err := re.Get("dr-house", rec.ID); !errors.Is(err, ErrShredded) {
+	if _, _, err := re.GetCtx(ctx, "dr-house", rec.ID); !errors.Is(err, ErrShredded) {
 		t.Errorf("WAL shred replay failed: %v", err)
 	}
 }
 
 func TestDurableLegalHoldsSurvive(t *testing.T) {
+	ctx := context.Background()
 	dir := t.TempDir()
 	master, vc := mustKey(t), mustClock()
 	v := openDurable(t, dir, master, vc)
 	rec := ehr.NewGenerator(36, testEpoch).Next()
 	rec.CreatedAt = testEpoch
-	if _, err := v.Put("dr-house", rec); err != nil {
+	if _, err := v.PutCtx(ctx, "dr-house", rec); err != nil {
 		t.Fatal(err)
 	}
 	vc.Advance(40 * 365 * 24 * time.Hour)
-	if err := v.PlaceHold("arch-lee", rec.ID, "grand jury subpoena 26-118"); err != nil {
+	if err := v.PlaceHoldCtx(ctx, "arch-lee", rec.ID, "grand jury subpoena 26-118"); err != nil {
 		t.Fatalf("PlaceHold: %v", err)
 	}
 	placedAt := v.Retention().Holds()[0].Placed
@@ -213,7 +219,7 @@ func TestDurableLegalHoldsSurvive(t *testing.T) {
 	if !holds[0].Placed.Equal(placedAt) {
 		t.Error("hold timestamp drifted across replay")
 	}
-	if err := re.Shred("arch-lee", rec.ID); err == nil {
+	if err := re.ShredCtx(ctx, "arch-lee", rec.ID); err == nil {
 		t.Fatal("shred under replayed hold accepted")
 	}
 	// Clean close → snapshot path.
@@ -226,7 +232,7 @@ func TestDurableLegalHoldsSurvive(t *testing.T) {
 		t.Fatal("hold lost in snapshot restore")
 	}
 	// Release is durable too.
-	if err := re2.ReleaseHold("arch-lee", rec.ID); err != nil {
+	if err := re2.ReleaseHoldCtx(ctx, "arch-lee", rec.ID); err != nil {
 		t.Fatal(err)
 	}
 	if err := re2.Close(); err != nil {
@@ -237,11 +243,11 @@ func TestDurableLegalHoldsSurvive(t *testing.T) {
 	if len(re3.Retention().Holds()) != 0 {
 		t.Fatal("released hold resurrected")
 	}
-	if err := re3.Shred("arch-lee", rec.ID); err != nil {
+	if err := re3.ShredCtx(ctx, "arch-lee", rec.ID); err != nil {
 		t.Fatalf("shred after durable release: %v", err)
 	}
 	// Unauthorized hold management is refused.
-	if err := re3.PlaceHold("dr-house", rec.ID, "x"); !errors.Is(err, ErrShredded) && !errors.Is(err, ErrDenied) {
+	if err := re3.PlaceHoldCtx(ctx, "dr-house", rec.ID, "x"); !errors.Is(err, ErrShredded) && !errors.Is(err, ErrDenied) {
 		t.Errorf("hold by physician on shredded record: %v", err)
 	}
 }
@@ -252,14 +258,14 @@ func TestDurableWrongMasterFailsClosed(t *testing.T) {
 	vc := clock.NewVirtual(testEpoch)
 	v := openDurable(t, dir, master, vc)
 	rec := clinicalRecord(t, 34)
-	if _, err := v.Put("dr-house", rec); err != nil {
+	if _, err := v.PutCtx(context.Background(), "dr-house", rec); err != nil {
 		t.Fatal(err)
 	}
 	if err := v.Close(); err != nil {
 		t.Fatal(err)
 	}
 	wrong, _ := vcrypto.NewKey()
-	if _, err := Open(Config{Name: "durable", Master: wrong, Clock: vc, Dir: dir}); err == nil {
+	if _, err := open(Config{Name: "durable", Master: wrong, Clock: vc, Dir: dir}); err == nil {
 		t.Error("vault opened with the wrong master key")
 	}
 }
@@ -270,7 +276,7 @@ func TestDurableSnapshotIsAtomic(t *testing.T) {
 	vc := clock.NewVirtual(testEpoch)
 	v := openDurable(t, dir, master, vc)
 	rec := clinicalRecord(t, 35)
-	if _, err := v.Put("dr-house", rec); err != nil {
+	if _, err := v.PutCtx(context.Background(), "dr-house", rec); err != nil {
 		t.Fatal(err)
 	}
 	if err := v.Close(); err != nil {

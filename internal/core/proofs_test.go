@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"errors"
 	"testing"
 
@@ -9,15 +10,16 @@ import (
 )
 
 func TestProveVersionVerifiesExternally(t *testing.T) {
+	ctx := context.Background()
 	v, _ := newVault(t)
 	g := ehr.NewGenerator(40, testEpoch)
 	var rec ehr.Record
 	for rec = g.Next(); rec.Category != ehr.CategoryClinical; rec = g.Next() {
 	}
-	if _, err := v.Put("dr-house", rec); err != nil {
+	if _, err := v.PutCtx(ctx, "dr-house", rec); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := v.Correct("dr-house", g.Correction(rec)); err != nil {
+	if _, err := v.CorrectCtx(ctx, "dr-house", g.Correction(rec)); err != nil {
 		t.Fatal(err)
 	}
 	// More records after, so the proof is a real path, not a root.
@@ -26,13 +28,13 @@ func TestProveVersionVerifiesExternally(t *testing.T) {
 		if r.Category != ehr.CategoryClinical {
 			continue
 		}
-		if _, err := v.Put("dr-house", r); err != nil {
+		if _, err := v.PutCtx(ctx, "dr-house", r); err != nil {
 			t.Fatal(err)
 		}
 	}
 
 	for _, n := range []uint64{1, 2} {
-		proof, err := v.ProveVersion("dr-house", rec.ID, n)
+		proof, err := v.ProveVersionCtx(ctx, "dr-house", rec.ID, n)
 		if err != nil {
 			t.Fatalf("ProveVersion v%d: %v", n, err)
 		}
@@ -43,7 +45,7 @@ func TestProveVersionVerifiesExternally(t *testing.T) {
 	}
 
 	// Forgeries fail.
-	proof, err := v.ProveVersion("dr-house", rec.ID, 2)
+	proof, err := v.ProveVersionCtx(ctx, "dr-house", rec.ID, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,18 +79,19 @@ func TestProveVersionVerifiesExternally(t *testing.T) {
 }
 
 func TestProveVersionAuthz(t *testing.T) {
+	ctx := context.Background()
 	v, _ := newVault(t)
 	rec := clinicalRecord(t, 41)
-	if _, err := v.Put("dr-house", rec); err != nil {
+	if _, err := v.PutCtx(ctx, "dr-house", rec); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := v.ProveVersion("clerk-bob", rec.ID, 1); !errors.Is(err, ErrDenied) {
+	if _, err := v.ProveVersionCtx(ctx, "clerk-bob", rec.ID, 1); !errors.Is(err, ErrDenied) {
 		t.Errorf("clerk obtained a clinical proof: %v", err)
 	}
-	if _, err := v.ProveVersion("dr-house", rec.ID, 5); !errors.Is(err, ErrNotFound) {
+	if _, err := v.ProveVersionCtx(ctx, "dr-house", rec.ID, 5); !errors.Is(err, ErrNotFound) {
 		t.Errorf("missing version: %v", err)
 	}
-	if _, err := v.ProveVersion("dr-house", "ghost", 1); !errors.Is(err, ErrNotFound) {
+	if _, err := v.ProveVersionCtx(ctx, "dr-house", "ghost", 1); !errors.Is(err, ErrNotFound) {
 		t.Errorf("missing record: %v", err)
 	}
 }
@@ -102,7 +105,7 @@ func TestProveExtension(t *testing.T) {
 			if r.Category != ehr.CategoryClinical {
 				continue
 			}
-			if _, err := v.Put("dr-house", r); err != nil {
+			if _, err := v.PutCtx(context.Background(), "dr-house", r); err != nil {
 				t.Fatal(err)
 			}
 			i++

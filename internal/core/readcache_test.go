@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"crypto/sha256"
 	"errors"
 	"sync"
@@ -104,21 +105,22 @@ func TestBlockCacheBounds(t *testing.T) {
 // that exact ID must make the very next read succeed. A stale negative entry
 // here would deny a record that exists.
 func TestNegativeCachePutInvalidation(t *testing.T) {
+	ctx := context.Background()
 	v, _ := newVault(t)
 	rec := clinicalRecord(t, 77)
 
 	for i := 0; i < 2; i++ { // second probe is the cached-negative path
-		if _, _, err := v.Get("dr-house", rec.ID); !errors.Is(err, ErrNotFound) {
+		if _, _, err := v.GetCtx(ctx, "dr-house", rec.ID); !errors.Is(err, ErrNotFound) {
 			t.Fatalf("probe %d of unknown %s: want ErrNotFound, got %v", i, rec.ID, err)
 		}
 	}
 	if !v.neg.has(rec.ID) {
 		t.Fatalf("unknown-record probe did not populate the negative cache")
 	}
-	if _, err := v.Put("dr-house", rec); err != nil {
+	if _, err := v.PutCtx(ctx, "dr-house", rec); err != nil {
 		t.Fatal(err)
 	}
-	got, _, err := v.Get("dr-house", rec.ID)
+	got, _, err := v.GetCtx(ctx, "dr-house", rec.ID)
 	if err != nil {
 		t.Fatalf("Get after Put of a negatively-cached ID: %v", err)
 	}
@@ -126,10 +128,10 @@ func TestNegativeCachePutInvalidation(t *testing.T) {
 		t.Fatal("Get after Put returned wrong content")
 	}
 	// History and GetVersion share the read path; they must see it too.
-	if _, err := v.History("dr-house", rec.ID); err != nil {
+	if _, err := v.HistoryCtx(ctx, "dr-house", rec.ID); err != nil {
 		t.Fatalf("History after Put: %v", err)
 	}
-	if _, _, err := v.GetVersion("dr-house", rec.ID, 1); err != nil {
+	if _, _, err := v.GetVersionCtx(ctx, "dr-house", rec.ID, 1); err != nil {
 		t.Fatalf("GetVersion after Put: %v", err)
 	}
 }
@@ -138,17 +140,18 @@ func TestNegativeCachePutInvalidation(t *testing.T) {
 // shredded record's reads return ErrShredded forever and must not decay into
 // ErrNotFound via the negative cache.
 func TestShredNeverCachedAsNotFound(t *testing.T) {
+	ctx := context.Background()
 	v, vc := newVault(t)
 	rec := clinicalRecord(t, 78)
-	if _, err := v.Put("dr-house", rec); err != nil {
+	if _, err := v.PutCtx(ctx, "dr-house", rec); err != nil {
 		t.Fatal(err)
 	}
 	vc.Advance(40 * 365 * 24 * time.Hour)
-	if err := v.Shred("arch-lee", rec.ID); err != nil {
+	if err := v.ShredCtx(ctx, "arch-lee", rec.ID); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 3; i++ {
-		if _, _, err := v.Get("dr-house", rec.ID); !errors.Is(err, ErrShredded) {
+		if _, _, err := v.GetCtx(ctx, "dr-house", rec.ID); !errors.Is(err, ErrShredded) {
 			t.Fatalf("read %d of shredded record: want ErrShredded, got %v", i, err)
 		}
 	}
@@ -161,33 +164,34 @@ func TestShredNeverCachedAsNotFound(t *testing.T) {
 // scoping: shredding one record drops its blocks but leaves other records'
 // cached blocks intact and correct.
 func TestCachedReadsSurviveShredOfNeighbor(t *testing.T) {
+	ctx := context.Background()
 	v, vc := newVault(t)
 	recs := clinicalRecords(t, 80, 2)
 	keep, doomed := recs[0], recs[1]
-	if _, err := v.Put("dr-house", keep); err != nil {
+	if _, err := v.PutCtx(ctx, "dr-house", keep); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := v.Put("dr-house", doomed); err != nil {
+	if _, err := v.PutCtx(ctx, "dr-house", doomed); err != nil {
 		t.Fatal(err)
 	}
 	// Warm both records' block-cache entries.
 	for _, id := range []string{keep.ID, doomed.ID} {
-		if _, _, err := v.Get("dr-house", id); err != nil {
+		if _, _, err := v.GetCtx(ctx, "dr-house", id); err != nil {
 			t.Fatal(err)
 		}
 	}
 	vc.Advance(40 * 365 * 24 * time.Hour)
-	if err := v.Shred("arch-lee", doomed.ID); err != nil {
+	if err := v.ShredCtx(ctx, "arch-lee", doomed.ID); err != nil {
 		t.Fatal(err)
 	}
-	got, _, err := v.Get("dr-house", keep.ID)
+	got, _, err := v.GetCtx(ctx, "dr-house", keep.ID)
 	if err != nil {
 		t.Fatalf("cached read of surviving record: %v", err)
 	}
 	if got.Body != keep.Body {
 		t.Fatal("cached read of surviving record returned wrong content")
 	}
-	if _, _, err := v.Get("dr-house", doomed.ID); !errors.Is(err, ErrShredded) {
+	if _, _, err := v.GetCtx(ctx, "dr-house", doomed.ID); !errors.Is(err, ErrShredded) {
 		t.Fatalf("read of shredded record: want ErrShredded, got %v", err)
 	}
 }
@@ -197,16 +201,17 @@ func TestCachedReadsSurviveShredOfNeighbor(t *testing.T) {
 // hook), the next VerifyAll must fail with ErrTampered instead of certifying
 // a vault whose "destroyed" key is still obtainable.
 func TestVerifyAllCatchesStaleDEKAfterShred(t *testing.T) {
+	ctx := context.Background()
 	vcrypto.TestHookKeepDEKCacheOnShred.Store(true)
 	defer vcrypto.TestHookKeepDEKCacheOnShred.Store(false)
 
 	v, vc := newVault(t)
 	rec := clinicalRecord(t, 82)
-	if _, err := v.Put("dr-house", rec); err != nil {
+	if _, err := v.PutCtx(ctx, "dr-house", rec); err != nil {
 		t.Fatal(err)
 	}
 	vc.Advance(40 * 365 * 24 * time.Hour)
-	if err := v.Shred("arch-lee", rec.ID); err != nil {
+	if err := v.ShredCtx(ctx, "arch-lee", rec.ID); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := v.VerifyAll(nil, nil); !errors.Is(err, ErrTampered) {
@@ -217,11 +222,11 @@ func TestVerifyAllCatchesStaleDEKAfterShred(t *testing.T) {
 	vcrypto.TestHookKeepDEKCacheOnShred.Store(false)
 	v2, vc2 := newVault(t)
 	rec2 := clinicalRecord(t, 83)
-	if _, err := v2.Put("dr-house", rec2); err != nil {
+	if _, err := v2.PutCtx(ctx, "dr-house", rec2); err != nil {
 		t.Fatal(err)
 	}
 	vc2.Advance(40 * 365 * 24 * time.Hour)
-	if err := v2.Shred("arch-lee", rec2.ID); err != nil {
+	if err := v2.ShredCtx(ctx, "arch-lee", rec2.ID); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := v2.VerifyAll(nil, nil); err != nil {
@@ -233,16 +238,17 @@ func TestVerifyAllCatchesStaleDEKAfterShred(t *testing.T) {
 // are process memory, so a reopened vault starts with zero cached DEKs and
 // must re-earn every hit from the authoritative stores.
 func TestReopenedVaultIsCold(t *testing.T) {
+	ctx := context.Background()
 	dir := t.TempDir()
 	master := mustKey(t)
 	vc := clock.NewVirtual(testEpoch)
 
 	v := openDurable(t, dir, master, vc)
 	rec := clinicalRecord(t, 84)
-	if _, err := v.Put("dr-house", rec); err != nil {
+	if _, err := v.PutCtx(ctx, "dr-house", rec); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := v.Get("dr-house", rec.ID); err != nil {
+	if _, _, err := v.GetCtx(ctx, "dr-house", rec.ID); err != nil {
 		t.Fatal(err)
 	}
 	if v.keys.CachedDEKs() == 0 {
@@ -257,7 +263,7 @@ func TestReopenedVaultIsCold(t *testing.T) {
 	if n := v2.keys.CachedDEKs(); n != 0 {
 		t.Fatalf("reopened vault has %d cached DEKs, want 0", n)
 	}
-	got, _, err := v2.Get("dr-house", rec.ID)
+	got, _, err := v2.GetCtx(ctx, "dr-house", rec.ID)
 	if err != nil {
 		t.Fatalf("cold read after reopen: %v", err)
 	}
@@ -275,11 +281,12 @@ func TestReopenedVaultIsCold(t *testing.T) {
 // stale body, or any other error — and afterward every record is gone from
 // every cache layer.
 func TestConcurrentGetShredStress(t *testing.T) {
+	ctx := context.Background()
 	v, vc := newVault(t)
 	const n = 16
 	ids := make([]string, 0, n)
 	for _, rec := range clinicalRecords(t, 100, n) {
-		if _, err := v.Put("dr-house", rec); err != nil {
+		if _, err := v.PutCtx(ctx, "dr-house", rec); err != nil {
 			t.Fatal(err)
 		}
 		ids = append(ids, rec.ID)
@@ -293,7 +300,7 @@ func TestConcurrentGetShredStress(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 200; i++ {
 				id := ids[(g*13+i)%n]
-				if _, _, err := v.Get("dr-house", id); err != nil && !errors.Is(err, ErrShredded) {
+				if _, _, err := v.GetCtx(ctx, "dr-house", id); err != nil && !errors.Is(err, ErrShredded) {
 					t.Errorf("Get(%s): %v", id, err)
 					return
 				}
@@ -304,7 +311,7 @@ func TestConcurrentGetShredStress(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		for _, id := range ids {
-			if err := v.Shred("arch-lee", id); err != nil {
+			if err := v.ShredCtx(ctx, "arch-lee", id); err != nil {
 				t.Errorf("Shred(%s): %v", id, err)
 				return
 			}
@@ -313,7 +320,7 @@ func TestConcurrentGetShredStress(t *testing.T) {
 	wg.Wait()
 
 	for _, id := range ids {
-		if _, _, err := v.Get("dr-house", id); !errors.Is(err, ErrShredded) {
+		if _, _, err := v.GetCtx(ctx, "dr-house", id); !errors.Is(err, ErrShredded) {
 			t.Fatalf("after stress, Get(%s): want ErrShredded, got %v", id, err)
 		}
 		if v.keys.HasCachedDEK(id) {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -23,17 +24,18 @@ import (
 // closes it cleanly.
 func seedDurable(t *testing.T, mem *faultfs.Mem, shards, records int) {
 	t.Helper()
+	ctx := context.Background()
 	c, vc, err := openTorture(mem, shards)
 	if err != nil {
 		t.Fatalf("open: %v", err)
 	}
 	for i := 0; i < records; i++ {
 		id := fmt.Sprintf("seed-%d", i)
-		if _, err := c.Put("dr-house", tortureRecord(id, 1, vc.Now())); err != nil {
+		if _, err := c.PutCtx(ctx, "dr-house", tortureRecord(id, 1, vc.Now())); err != nil {
 			t.Fatalf("Put %s: %v", id, err)
 		}
 		if i%2 == 0 {
-			if _, err := c.Correct("dr-house", tortureRecord(id, 2, vc.Now())); err != nil {
+			if _, err := c.CorrectCtx(ctx, "dr-house", tortureRecord(id, 2, vc.Now())); err != nil {
 				t.Fatalf("Correct %s: %v", id, err)
 			}
 		}
@@ -158,6 +160,50 @@ func TestOpenFailureClosesHandles(t *testing.T) {
 	}
 }
 
+// TestCloseFailureClosesHandles: a Close whose metadata snapshot hits
+// ENOSPC still syncs and closes the WAL and the block, audit and custody
+// stores, reports the ENOSPC, and skips the WAL checkpoint, so a reopen
+// replays every acked write from the WAL.
+func TestCloseFailureClosesHandles(t *testing.T) {
+	mem := faultfs.NewMem()
+	seedDurable(t, mem, 1, 4)
+	faulty := faultfs.NewFaulty(mem, func(op faultfs.Op) *faultfs.Fault {
+		if op.Kind == faultfs.OpWrite && op.Path == "vault/meta.snap.tmp" {
+			return &faultfs.Fault{Err: faultfs.ErrNoSpace}
+		}
+		return nil
+	})
+	hfs := &handleFS{FS: faulty, open: make(map[string]int)}
+	c, vc, err := openTorture(hfs, 1)
+	if err != nil {
+		t.Fatalf("open: %v", err)
+	}
+	if _, err := c.PutCtx(context.Background(), "dr-house", tortureRecord("late", 1, vc.Now())); err != nil {
+		t.Fatalf("Put: %v", err)
+	}
+	if err := c.Close(); !errors.Is(err, faultfs.ErrNoSpace) {
+		t.Fatalf("Close error %v, want class %v", err, faultfs.ErrNoSpace)
+	}
+	if len(hfs.open) == 0 {
+		t.Fatal("Open opened no handles; the check proves nothing")
+	}
+	if leaked := hfs.leaked(); len(leaked) > 0 {
+		t.Errorf("failed Close leaked handles: %v", leaked)
+	}
+
+	c, _, err = openTorture(mem, 1)
+	if err != nil {
+		t.Fatalf("reopen: %v", err)
+	}
+	defer c.Close()
+	if n := c.Len(); n != 5 {
+		t.Errorf("reopened vault holds %d records, want 5", n)
+	}
+	if _, err := c.VerifyAll(nil, nil); err != nil {
+		t.Errorf("VerifyAll after reopen: %v", err)
+	}
+}
+
 // fsOp is the part of a mutating fs op that defines the crash-injection
 // point sequence.
 type fsOp struct {
@@ -244,7 +290,7 @@ func TestConcurrentDurableReopen(t *testing.T) {
 				if _, err := c.VerifyAll(nil, nil); err != nil {
 					errs <- err
 				}
-				if _, err := c.Put("dr-house", tortureRecord(fmt.Sprintf("cycle-%d", k), 1, vc.Now())); err != nil {
+				if _, err := c.PutCtx(context.Background(), "dr-house", tortureRecord(fmt.Sprintf("cycle-%d", k), 1, vc.Now())); err != nil {
 					errs <- err
 				}
 				if err := c.Close(); err != nil {

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"testing"
 	"time"
@@ -10,8 +11,10 @@ import (
 )
 
 func TestSanitizeMediaDropsShreddedBytes(t *testing.T) {
-	v, vc := newVault(t)
-	a, err := NewAdapter(v)
+	ctx := context.Background()
+	c, vc := newCluster(t, 1)
+	v := c.Shard(0)
+	a, err := NewAdapter(c)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -23,7 +26,7 @@ func TestSanitizeMediaDropsShreddedBytes(t *testing.T) {
 			continue
 		}
 		r.CreatedAt = testEpoch
-		if _, err := v.Put("dr-house", r); err != nil {
+		if _, err := v.PutCtx(ctx, "dr-house", r); err != nil {
 			t.Fatal(err)
 		}
 		if len(doomed) < 3 {
@@ -34,7 +37,7 @@ func TestSanitizeMediaDropsShreddedBytes(t *testing.T) {
 	}
 	vc.Advance(40 * 365 * 24 * time.Hour)
 	for _, r := range doomed {
-		if err := v.Shred("arch-lee", r.ID); err != nil {
+		if err := v.ShredCtx(ctx, "arch-lee", r.ID); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -54,7 +57,7 @@ func TestSanitizeMediaDropsShreddedBytes(t *testing.T) {
 
 	// Live records remain fully readable and verifiable.
 	for _, r := range keep {
-		got, _, err := v.Get("dr-house", r.ID)
+		got, _, err := v.GetCtx(ctx, "dr-house", r.ID)
 		if err != nil || got.Body != r.Body {
 			t.Fatalf("live record %s damaged by sanitization: %v", r.ID, err)
 		}
@@ -67,7 +70,7 @@ func TestSanitizeMediaDropsShreddedBytes(t *testing.T) {
 		t.Errorf("records checked = %d", rep.RecordsChecked)
 	}
 	// Shredded records still answer with ErrShredded, not NotFound.
-	if _, _, err := v.Get("dr-house", doomed[0].ID); !errors.Is(err, ErrShredded) {
+	if _, _, err := v.GetCtx(ctx, "dr-house", doomed[0].ID); !errors.Is(err, ErrShredded) {
 		t.Errorf("Get after sanitize: %v", err)
 	}
 	// And no remnant of the doomed ciphertext is on the medium (we check
@@ -97,6 +100,7 @@ func TestSanitizeMediaAuthz(t *testing.T) {
 }
 
 func TestSanitizeMediaDurable(t *testing.T) {
+	ctx := context.Background()
 	dir := t.TempDir()
 	master, vc := mustKey(t), mustClock()
 	v := openDurable(t, dir, master, vc)
@@ -108,14 +112,14 @@ func TestSanitizeMediaDurable(t *testing.T) {
 	}
 	doomed.CreatedAt, keep.CreatedAt = testEpoch, testEpoch
 	doomed.Body = "radiotherapy session notes to be destroyed"
-	if _, err := v.Put("dr-house", doomed); err != nil {
+	if _, err := v.PutCtx(ctx, "dr-house", doomed); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := v.Put("dr-house", keep); err != nil {
+	if _, err := v.PutCtx(ctx, "dr-house", keep); err != nil {
 		t.Fatal(err)
 	}
 	vc.Advance(40 * 365 * 24 * time.Hour)
-	if err := v.Shred("arch-lee", doomed.ID); err != nil {
+	if err := v.ShredCtx(ctx, "arch-lee", doomed.ID); err != nil {
 		t.Fatal(err)
 	}
 
@@ -127,7 +131,7 @@ func TestSanitizeMediaDurable(t *testing.T) {
 		t.Errorf("dropped=%d reclaimed=%d", dropped, reclaimed)
 	}
 	// Live record fine; verification green; vault still writable.
-	if _, _, err := v.Get("dr-house", keep.ID); err != nil {
+	if _, _, err := v.GetCtx(ctx, "dr-house", keep.ID); err != nil {
 		t.Fatalf("live record after durable sanitize: %v", err)
 	}
 	if _, err := v.VerifyAll(nil, nil); err != nil {
@@ -140,10 +144,10 @@ func TestSanitizeMediaDurable(t *testing.T) {
 	// Reopen: the sanitized media and checkpointed metadata recover cleanly.
 	re := openDurable(t, dir, master, vc)
 	defer re.Close()
-	if _, _, err := re.Get("dr-house", keep.ID); err != nil {
+	if _, _, err := re.GetCtx(ctx, "dr-house", keep.ID); err != nil {
 		t.Fatalf("live record after reopen: %v", err)
 	}
-	if _, _, err := re.Get("dr-house", doomed.ID); !errors.Is(err, ErrShredded) {
+	if _, _, err := re.GetCtx(ctx, "dr-house", doomed.ID); !errors.Is(err, ErrShredded) {
 		t.Errorf("doomed record after reopen: %v", err)
 	}
 	if _, err := re.VerifyAll(nil, nil); err != nil {
@@ -168,14 +172,15 @@ func TestSanitizeMediaDurable(t *testing.T) {
 }
 
 func TestSanitizeThenContinueOperating(t *testing.T) {
+	ctx := context.Background()
 	v, vc := newVault(t)
 	rec := clinicalRecord(t, 61)
 	rec.CreatedAt = testEpoch
-	if _, err := v.Put("dr-house", rec); err != nil {
+	if _, err := v.PutCtx(ctx, "dr-house", rec); err != nil {
 		t.Fatal(err)
 	}
 	vc.Advance(40 * 365 * 24 * time.Hour)
-	if err := v.Shred("arch-lee", rec.ID); err != nil {
+	if err := v.ShredCtx(ctx, "arch-lee", rec.ID); err != nil {
 		t.Fatal(err)
 	}
 	if _, _, err := v.SanitizeMedia("arch-lee"); err != nil {
@@ -187,10 +192,10 @@ func TestSanitizeThenContinueOperating(t *testing.T) {
 	for r2 = g.Next(); r2.Category != ehr.CategoryClinical; r2 = g.Next() {
 	}
 	r2.ID = "post-sanitize/enc-0"
-	if _, err := v.Put("dr-house", r2); err != nil {
+	if _, err := v.PutCtx(ctx, "dr-house", r2); err != nil {
 		t.Fatalf("Put after sanitize: %v", err)
 	}
-	if _, err := v.Correct("dr-house", r2); err != nil {
+	if _, err := v.CorrectCtx(ctx, "dr-house", r2); err != nil {
 		t.Fatalf("Correct after sanitize: %v", err)
 	}
 	if _, err := v.VerifyAll(nil, nil); err != nil {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"sync"
@@ -18,9 +19,10 @@ import (
 // catch lock-ordering and shared-state mistakes across the instrumented hot
 // paths as much as logical corruption.
 func TestConcurrentMixedOpsDurable(t *testing.T) {
+	ctx := context.Background()
 	master := mustKey(t)
 	dir := t.TempDir()
-	v, err := Open(Config{Name: "stress-test", Master: master, Clock: mustClock(), Dir: dir})
+	v, err := open(Config{Name: "stress-test", Master: master, Clock: mustClock(), Dir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,13 +50,13 @@ func TestConcurrentMixedOpsDurable(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < perWriter; i++ {
 				rec := record(w, i)
-				if _, err := v.Put("dr-house", rec); err != nil {
+				if _, err := v.PutCtx(ctx, "dr-house", rec); err != nil {
 					errc <- fmt.Errorf("writer %d: Put %s: %w", w, rec.ID, err)
 					return
 				}
 				if i%3 == 0 {
 					rec.Body += " — amended"
-					if _, err := v.Correct("dr-house", rec); err != nil {
+					if _, err := v.CorrectCtx(ctx, "dr-house", rec); err != nil {
 						errc <- fmt.Errorf("writer %d: Correct %s: %w", w, rec.ID, err)
 						return
 					}
@@ -70,19 +72,19 @@ func TestConcurrentMixedOpsDurable(t *testing.T) {
 				id := recID(r%writers, i%perWriter)
 				// Concurrent readers race the writers, so ErrNotFound is a
 				// legitimate outcome; anything else is not.
-				if _, _, err := v.Get("dr-house", id); err != nil && !errors.Is(err, ErrNotFound) {
+				if _, _, err := v.GetCtx(ctx, "dr-house", id); err != nil && !errors.Is(err, ErrNotFound) {
 					errc <- fmt.Errorf("reader %d: Get %s: %w", r, id, err)
 					return
 				}
-				if _, _, err := v.GetVersion("dr-house", id, 1); err != nil && !errors.Is(err, ErrNotFound) {
+				if _, _, err := v.GetVersionCtx(ctx, "dr-house", id, 1); err != nil && !errors.Is(err, ErrNotFound) {
 					errc <- fmt.Errorf("reader %d: GetVersion %s: %w", r, id, err)
 					return
 				}
-				if _, err := v.History("dr-house", id); err != nil && !errors.Is(err, ErrNotFound) {
+				if _, err := v.HistoryCtx(ctx, "dr-house", id); err != nil && !errors.Is(err, ErrNotFound) {
 					errc <- fmt.Errorf("reader %d: History %s: %w", r, id, err)
 					return
 				}
-				if _, err := v.Search("dr-house", "hypertension"); err != nil {
+				if _, err := v.SearchCtx(ctx, "dr-house", "hypertension"); err != nil {
 					errc <- fmt.Errorf("reader %d: Search: %w", r, err)
 					return
 				}
@@ -99,7 +101,7 @@ func TestConcurrentMixedOpsDurable(t *testing.T) {
 		defer wg.Done()
 		for i := 0; i < perWriter*writers; i++ {
 			id := recID(i%writers, i%perWriter)
-			err := v.PlaceHold("arch-lee", id, "stress-test litigation hold")
+			err := v.PlaceHoldCtx(ctx, "arch-lee", id, "stress-test litigation hold")
 			if errors.Is(err, ErrNotFound) {
 				continue
 			}
@@ -107,7 +109,7 @@ func TestConcurrentMixedOpsDurable(t *testing.T) {
 				errc <- fmt.Errorf("hold: PlaceHold %s: %w", id, err)
 				return
 			}
-			if err := v.ReleaseHold("arch-lee", id); err != nil {
+			if err := v.ReleaseHoldCtx(ctx, "arch-lee", id); err != nil {
 				errc <- fmt.Errorf("hold: ReleaseHold %s: %w", id, err)
 				return
 			}
@@ -116,13 +118,13 @@ func TestConcurrentMixedOpsDurable(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		if err := v.BreakGlass("clerk-bob", "stress-test emergency", time.Hour); err != nil {
+		if err := v.BreakGlassCtx(ctx, "clerk-bob", "stress-test emergency", time.Hour); err != nil {
 			errc <- fmt.Errorf("break-glass grant: %w", err)
 			return
 		}
 		for i := 0; i < perWriter*writers; i++ {
 			id := recID(i%writers, i%perWriter)
-			if _, _, err := v.Get("clerk-bob", id); err != nil && !errors.Is(err, ErrNotFound) {
+			if _, _, err := v.GetCtx(ctx, "clerk-bob", id); err != nil && !errors.Is(err, ErrNotFound) {
 				errc <- fmt.Errorf("break-glass Get %s: %w", id, err)
 				return
 			}
@@ -162,7 +164,7 @@ func TestConcurrentMixedOpsDurable(t *testing.T) {
 
 	// Reopen from disk: recovery must rebuild the same state and still pass
 	// a sweep that includes the pre-close tree head.
-	v2, err := Open(Config{Name: "stress-test", Master: master, Clock: mustClock(), Dir: dir})
+	v2, err := open(Config{Name: "stress-test", Master: master, Clock: mustClock(), Dir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -188,8 +188,9 @@ type Vault struct {
 	auditStore, provStore blockstore.Store
 }
 
-// Open creates or reopens a vault.
-func Open(cfg Config) (*Vault, error) {
+// open creates or reopens one vault — a shard. OpenCluster is the public
+// constructor; a 1-shard cluster is the single-vault deployment.
+func open(cfg Config) (*Vault, error) {
 	if cfg.Name == "" {
 		cfg.Name = "medvault"
 	}
@@ -424,11 +425,6 @@ func (v *Vault) PublicKey() vcrypto.PublicKey { return v.signer.Public() }
 // pass it back to VerifyAll to detect history rewriting.
 func (v *Vault) Head() merkle.SignedTreeHead { return v.log.Head() }
 
-// Heads returns the vault's tree heads — always exactly one for a single
-// vault. It exists so callers can program against the API seam shared with
-// Cluster, where each shard contributes its own head.
-func (v *Vault) Heads() []merkle.SignedTreeHead { return []merkle.SignedTreeHead{v.log.Head()} }
-
 // Len returns the number of live (non-shredded) records.
 func (v *Vault) Len() int {
 	v.regMu.RLock()
@@ -455,6 +451,10 @@ func (v *Vault) StorageBytes() int64 {
 // op gate) before releasing anything, so an operation admitted before Close
 // always completes against an open vault, and an operation arriving after
 // gets ErrClosed — never a half-closed store.
+//
+// A failure does not stop the teardown: every store is still synced and
+// closed, so no handle outlives the vault, and the failures come back joined,
+// the first one first.
 func (v *Vault) Close() error {
 	if !v.gate.shut() {
 		return nil
@@ -469,33 +469,23 @@ func (v *Vault) Close() error {
 	if v.fsink != nil {
 		v.fsink.Close() // best-effort; flight loss never fails a Close
 	}
+	var errs []error
 	if v.dir != "" {
-		if err := v.writeSnapshotLocked(); err != nil {
-			return err
+		// The checkpoint empties the WAL, so it runs only after a snapshot
+		// holding every entry it drops was written.
+		err := v.writeSnapshotLocked()
+		if err == nil {
+			err = v.metaWAL.Checkpoint()
 		}
-		if err := v.metaWAL.Checkpoint(); err != nil {
-			return err
+		errs = append(errs, err, v.metaWAL.Close())
+	}
+	for _, st := range []blockstore.Store{v.blocks, v.auditStore, v.provStore} {
+		if err := st.Sync(); err != nil && !errors.Is(err, blockstore.ErrClosed) {
+			errs = append(errs, err)
 		}
-		if err := v.metaWAL.Close(); err != nil {
-			return err
-		}
+		errs = append(errs, st.Close())
 	}
-	if err := v.blocks.Sync(); err != nil && !errors.Is(err, blockstore.ErrClosed) {
-		return err
-	}
-	if err := v.blocks.Close(); err != nil {
-		return err
-	}
-	if err := v.auditStore.Sync(); err != nil && !errors.Is(err, blockstore.ErrClosed) {
-		return err
-	}
-	if err := v.auditStore.Close(); err != nil {
-		return err
-	}
-	if err := v.provStore.Sync(); err != nil && !errors.Is(err, blockstore.ErrClosed) {
-		return err
-	}
-	return v.provStore.Close()
+	return errors.Join(errs...)
 }
 
 // now returns the current vault time in UTC.

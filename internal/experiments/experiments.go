@@ -91,7 +91,7 @@ type Subject struct {
 	// ignore time).
 	Clock *clock.Virtual
 	// Vault is non-nil for the MedVault subject.
-	Vault *core.Vault
+	Vault *core.Cluster
 	// Cryptonly is non-nil for the encryption-only subject.
 	Cryptonly *cryptonly.Store
 }
@@ -113,7 +113,7 @@ func NewSubjects() ([]Subject, error) {
 		return nil, err
 	}
 	co := cryptonly.New(k1)
-	v, err := core.Open(core.Config{Name: "medvault-bench", Master: k3, Clock: vc})
+	v, err := core.OpenCluster(core.Config{Name: "medvault-bench", Master: k3, Clock: vc}, 1)
 	if err != nil {
 		return nil, err
 	}

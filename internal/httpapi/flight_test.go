@@ -22,10 +22,10 @@ func newFlightServer(t *testing.T) (*httptest.Server, *obs.Flight) {
 		t.Fatal(err)
 	}
 	ring := obs.NewFlight(128)
-	v, err := core.Open(core.Config{
+	v, err := core.OpenCluster(core.Config{
 		Name: "flight-test", Master: master,
 		Clock: clock.NewVirtual(epoch), Flight: ring,
-	})
+	}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -28,7 +28,7 @@ func newVaultServer(t testing.TB) *httptest.Server {
 	if err != nil {
 		t.Fatal(err)
 	}
-	v, err := core.Open(core.Config{Name: "client-test", Master: master, Clock: clock.NewVirtual(epoch)})
+	v, err := core.OpenCluster(core.Config{Name: "client-test", Master: master, Clock: clock.NewVirtual(epoch)}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

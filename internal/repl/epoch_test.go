@@ -1,6 +1,7 @@
 package repl
 
 import (
+	"context"
 	"errors"
 	"strings"
 	"testing"
@@ -181,9 +182,10 @@ func TestPromotePersistsAndFences(t *testing.T) {
 // rejection must be query-able from the promoted vault's audit chain by a
 // compliance officer.
 func TestSplitBrainFencingAudited(t *testing.T) {
+	ctx := context.Background()
 	pmem, fmem, fol, cap := pair(t)
 	v := openVault(t, cap, 1)
-	if _, err := v.Put("dr-house", testRecord("acked", 1)); err != nil {
+	if _, err := v.PutCtx(ctx, "dr-house", testRecord("acked", 1)); err != nil {
 		t.Fatal(err)
 	}
 
@@ -193,7 +195,7 @@ func TestSplitBrainFencingAudited(t *testing.T) {
 
 	// The stale primary is still up and takes a write: the ship is fenced,
 	// which must fail the client op rather than fork history locally.
-	if _, err := v.Put("dr-house", testRecord("forked", 1)); err == nil {
+	if _, err := v.PutCtx(ctx, "dr-house", testRecord("forked", 1)); err == nil {
 		t.Fatal("stale primary committed a write after its follower was promoted")
 	}
 
@@ -210,17 +212,17 @@ func TestSplitBrainFencingAudited(t *testing.T) {
 		t.Fatalf("stale reconnect not fenced: %v", err)
 	}
 
-	if _, _, err := pv.Get("dr-house", "acked"); err != nil {
+	if _, _, err := pv.GetCtx(ctx, "dr-house", "acked"); err != nil {
 		t.Fatalf("acked record missing from promoted vault: %v", err)
 	}
-	if _, _, err := pv.Get("dr-house", "forked"); err == nil {
+	if _, _, err := pv.GetCtx(ctx, "dr-house", "forked"); err == nil {
 		t.Fatal("fenced write leaked into the promoted vault")
 	}
 	if _, err := pv.VerifyAll(nil, nil); err != nil {
 		t.Fatalf("VerifyAll on promoted vault: %v", err)
 	}
 
-	evs, err := pv.AuditEvents("officer-kim", audit.Query{DeniedOnly: true})
+	evs, err := pv.AuditEventsCtx(ctx, "officer-kim", audit.Query{DeniedOnly: true})
 	if err != nil {
 		t.Fatalf("audit query: %v", err)
 	}

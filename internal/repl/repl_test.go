@@ -1,6 +1,7 @@
 package repl
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"net"
@@ -80,14 +81,15 @@ func pair(t *testing.T) (pmem, fmem *faultfs.Mem, fol *Follower, cap *Capture) {
 // follower byte-for-byte, and the promoted vault serves it with a clean
 // integrity sweep.
 func TestReplicateAndPromote(t *testing.T) {
+	ctx := context.Background()
 	pmem, fmem, fol, cap := pair(t)
 	v := openVault(t, cap, 1)
 	for i := 0; i < 3; i++ {
-		if _, err := v.Put("dr-house", testRecord(fmt.Sprintf("rec-%d", i), 1)); err != nil {
+		if _, err := v.PutCtx(ctx, "dr-house", testRecord(fmt.Sprintf("rec-%d", i), 1)); err != nil {
 			t.Fatalf("put: %v", err)
 		}
 	}
-	if _, err := v.Correct("dr-house", testRecord("rec-1", 2)); err != nil {
+	if _, err := v.CorrectCtx(ctx, "dr-house", testRecord("rec-1", 2)); err != nil {
 		t.Fatalf("correct: %v", err)
 	}
 	if err := v.Close(); err != nil {
@@ -111,7 +113,7 @@ func TestReplicateAndPromote(t *testing.T) {
 	}
 	pv := openVault(t, fmem, 1)
 	defer pv.Close()
-	rec, _, err := pv.Get("dr-house", "rec-1")
+	rec, _, err := pv.GetCtx(ctx, "dr-house", "rec-1")
 	if err != nil {
 		t.Fatalf("reading from promoted vault: %v", err)
 	}
@@ -128,9 +130,10 @@ func TestReplicateAndPromote(t *testing.T) {
 // handshake — incremental shipping alone cannot (recovery reads, pre-attach
 // writes, and already-open appends are invisible to the capture).
 func TestConnectResync(t *testing.T) {
+	ctx := context.Background()
 	pmem := faultfs.NewMem()
 	v := openVault(t, pmem, 1)
-	if _, err := v.Put("dr-house", testRecord("old-rec", 1)); err != nil {
+	if _, err := v.PutCtx(ctx, "dr-house", testRecord("old-rec", 1)); err != nil {
 		t.Fatal(err)
 	}
 	if err := v.Close(); err != nil {
@@ -154,7 +157,7 @@ func TestConnectResync(t *testing.T) {
 
 	// New writes ship incrementally on top of the resynced base.
 	v2 := openVault(t, cap, 1)
-	if _, err := v2.Put("dr-house", testRecord("new-rec", 1)); err != nil {
+	if _, err := v2.PutCtx(ctx, "dr-house", testRecord("new-rec", 1)); err != nil {
 		t.Fatal(err)
 	}
 	if err := v2.Close(); err != nil {
@@ -166,7 +169,7 @@ func TestConnectResync(t *testing.T) {
 	pv := openVault(t, fmem, 1)
 	defer pv.Close()
 	for _, id := range []string{"old-rec", "new-rec"} {
-		if _, _, err := pv.Get("dr-house", id); err != nil {
+		if _, _, err := pv.GetCtx(ctx, "dr-house", id); err != nil {
 			t.Fatalf("promoted vault missing %s: %v", id, err)
 		}
 	}
@@ -174,6 +177,7 @@ func TestConnectResync(t *testing.T) {
 
 // TestTCPTransport runs the same replication flow over a real TCP socket.
 func TestTCPTransport(t *testing.T) {
+	ctx := context.Background()
 	fmem := faultfs.NewMem()
 	fol, err := NewFollower(fmem, testRoot)
 	if err != nil {
@@ -197,7 +201,7 @@ func TestTCPTransport(t *testing.T) {
 	}
 	v := openVault(t, cap, 2)
 	for i := 0; i < 4; i++ {
-		if _, err := v.Put("dr-house", testRecord(fmt.Sprintf("tcp-%d", i), 1)); err != nil {
+		if _, err := v.PutCtx(ctx, "dr-house", testRecord(fmt.Sprintf("tcp-%d", i), 1)); err != nil {
 			t.Fatalf("put over TCP replication: %v", err)
 		}
 	}
@@ -223,7 +227,7 @@ func TestTCPTransport(t *testing.T) {
 	}
 	pv := openVault(t, fmem, 2)
 	defer pv.Close()
-	if _, _, err := pv.Get("dr-house", "tcp-3"); err != nil {
+	if _, _, err := pv.GetCtx(ctx, "dr-house", "tcp-3"); err != nil {
 		t.Fatalf("promoted vault after TCP replication: %v", err)
 	}
 }
@@ -348,6 +352,7 @@ func TestCorruptFrameDropsConnNotFollower(t *testing.T) {
 // not fail client writes — the primary keeps committing locally and the
 // reconnect path resyncs.
 func TestDegradedModeContinues(t *testing.T) {
+	ctx := context.Background()
 	pmem, fmem := faultfs.NewMem(), faultfs.NewMem()
 	fol, err := NewFollower(fmem, testRoot)
 	if err != nil {
@@ -359,11 +364,11 @@ func TestDegradedModeContinues(t *testing.T) {
 		t.Fatal(err)
 	}
 	v := openVault(t, cap, 1)
-	if _, err := v.Put("dr-house", testRecord("before", 1)); err != nil {
+	if _, err := v.PutCtx(ctx, "dr-house", testRecord("before", 1)); err != nil {
 		t.Fatal(err)
 	}
 	pipe.KillAtFrame(pipe.OpFrames(), KillSend) // link dies at the next frame
-	if _, err := v.Put("dr-house", testRecord("during", 1)); err != nil {
+	if _, err := v.PutCtx(ctx, "dr-house", testRecord("during", 1)); err != nil {
 		t.Fatalf("degraded primary must keep serving writes: %v", err)
 	}
 	if cap.Connected() {
@@ -393,10 +398,11 @@ func TestDegradedModeContinues(t *testing.T) {
 // (its heads are not a prefix of the primary's) must be detected by the
 // signed-head exchange and resynced under the op freeze.
 func TestAntiEntropyDivergenceResync(t *testing.T) {
+	ctx := context.Background()
 	pmem, fmem, _, cap := pair(t)
 	v := openVault(t, cap, 1)
 	defer v.Close()
-	if _, err := v.Put("dr-house", testRecord("rec", 1)); err != nil {
+	if _, err := v.PutCtx(ctx, "dr-house", testRecord("rec", 1)); err != nil {
 		t.Fatal(err)
 	}
 	// Sabotage the replica with an unrelated vault's WAL: same leaf count,
@@ -405,7 +411,7 @@ func TestAntiEntropyDivergenceResync(t *testing.T) {
 	// consistency rightly tolerates without a resync.)
 	alien := faultfs.NewMem()
 	av := openVault(t, alien, 1)
-	if _, err := av.Put("dr-house", testRecord("alien", 9)); err != nil {
+	if _, err := av.PutCtx(ctx, "dr-house", testRecord("alien", 9)); err != nil {
 		t.Fatal(err)
 	}
 	// Read the alien WAL while that vault is live: Close would checkpoint
@@ -442,16 +448,17 @@ func TestAntiEntropyDivergenceResync(t *testing.T) {
 // mode's forgiveness — a stale primary's write fails, wedging its WAL,
 // rather than quietly committing locally.
 func TestFencedWriteFailsEvenDegraded(t *testing.T) {
+	ctx := context.Background()
 	pmem, _, fol, cap := pair(t)
 	_ = pmem
 	v := openVault(t, cap, 1)
-	if _, err := v.Put("dr-house", testRecord("pre", 1)); err != nil {
+	if _, err := v.PutCtx(ctx, "dr-house", testRecord("pre", 1)); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := fol.Promote(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := v.Put("dr-house", testRecord("post", 1)); err == nil {
+	if _, err := v.PutCtx(ctx, "dr-house", testRecord("post", 1)); err == nil {
 		t.Fatal("fenced primary committed a write")
 	}
 	v.Close()

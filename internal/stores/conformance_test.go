@@ -36,7 +36,7 @@ func newStores(t *testing.T) []stores.Store {
 		t.Fatal(err)
 	}
 	vc := clock.NewVirtual(time.Date(2080, 1, 1, 0, 0, 0, 0, time.UTC)) // decades after record CreatedAt
-	v, err := core.Open(core.Config{Name: "conformance", Master: k3, Clock: vc})
+	v, err := core.OpenCluster(core.Config{Name: "conformance", Master: k3, Clock: vc}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

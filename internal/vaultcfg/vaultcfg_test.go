@@ -1,6 +1,7 @@
 package vaultcfg
 
 import (
+	"context"
 	"errors"
 	"os"
 	"path/filepath"
@@ -36,6 +37,7 @@ func TestMasterKeyRoundTrip(t *testing.T) {
 }
 
 func TestGrantAndOpen(t *testing.T) {
+	ctx := context.Background()
 	dir := t.TempDir()
 	if err := Grant(dir, "dr-a", []string{"physician"}); err != nil {
 		t.Fatal(err)
@@ -62,14 +64,14 @@ func TestGrantAndOpen(t *testing.T) {
 	defer v.Close()
 
 	rec := ehr.NewGenerator(1, time.Date(2026, 1, 1, 0, 0, 0, 0, time.UTC)).Next()
-	if _, err := v.Put("dr-a", rec); err != nil {
+	if _, err := v.PutCtx(ctx, "dr-a", rec); err != nil {
 		t.Errorf("granted physician cannot write: %v", err)
 	}
-	if _, err := v.Put("stranger", rec); err == nil {
+	if _, err := v.PutCtx(ctx, "stranger", rec); err == nil {
 		t.Error("ungranted principal wrote")
 	}
 	// The compliance officer granted via the file can query the audit log.
-	events, err := v.AuditEvents("kim", audit.Query{DeniedOnly: true})
+	events, err := v.AuditEventsCtx(ctx, "kim", audit.Query{DeniedOnly: true})
 	if err != nil {
 		t.Fatalf("granted officer cannot audit: %v", err)
 	}
