@@ -6,9 +6,12 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 	"testing/quick"
+
+	"medvault/internal/faultfs"
 )
 
 // stores returns one of each backend, pre-sized with small segments so
@@ -398,5 +401,125 @@ func TestOpenFileRejectsGappySegments(t *testing.T) {
 	}
 	if _, err := OpenFile(dir, 1024); !errors.Is(err, ErrCorrupt) {
 		t.Errorf("gappy segment numbering accepted: %v", err)
+	}
+}
+
+// prefixReference is the whole-segment frame walk validatePrefix streams:
+// the valid prefix length and frame count of data.
+func prefixReference(data []byte) (int64, int) {
+	off, blocks := 0, 0
+	for off < len(data) {
+		_, n, err := decodeFrame(data[off:])
+		if err != nil {
+			break
+		}
+		off += n
+		blocks++
+	}
+	return int64(off), blocks
+}
+
+// TestValidatePrefixStraddlesBuffer writes frames that cross the streaming
+// buffer's boundaries (and one larger than the buffer), then checks that
+// recovery finds the same valid prefix as a whole-segment walk — intact,
+// with a flipped byte anywhere, and torn anywhere — and that a bad frame in
+// a non-last segment is ErrCorrupt at that frame's offset.
+func TestValidatePrefixStraddlesBuffer(t *testing.T) {
+	dir := t.TempDir()
+	const segCap = 2 << 20
+	f, err := OpenFile(dir, segCap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sizes := []int{100000, 170000, 3 * validateBuf, 1, 1000000, 50000, 900000}
+	var payloads [][]byte
+	var refs []Ref
+	for i, n := range sizes {
+		p := make([]byte, n)
+		for j := range p {
+			p[j] = byte(j*31 + i*7 + j>>9)
+		}
+		ref, err := f.Append(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		payloads, refs = append(payloads, p), append(refs, ref)
+	}
+	if len(f.sizes) != 2 || refs[5].Segment != 1 {
+		t.Fatalf("layout: %d segments, frame 5 at %v", len(f.sizes), refs[5])
+	}
+	f.Close()
+
+	re, err := OpenFile(dir, segCap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if re.Len() != len(sizes) {
+		t.Errorf("recovered %d frames, want %d", re.Len(), len(sizes))
+	}
+	for i, ref := range refs {
+		if got, err := re.Read(ref); err != nil || !bytes.Equal(got, payloads[i]) {
+			t.Errorf("frame %d after reopen: err %v, equal %v", i, err, bytes.Equal(got, payloads[i]))
+		}
+	}
+	re.Close()
+
+	seg0, seg1 := filepath.Join(dir, segName(0)), filepath.Join(dir, segName(1))
+	clean, err := os.ReadFile(seg1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	check := func(what string, data []byte) {
+		t.Helper()
+		path := filepath.Join(t.TempDir(), "seg")
+		if err := os.WriteFile(path, data, 0o600); err != nil {
+			t.Fatal(err)
+		}
+		off, blocks, err := validatePrefix(faultfs.OS{}, path, int64(len(data)))
+		wantOff, wantBlocks := prefixReference(data)
+		if err != nil || off != wantOff || blocks != wantBlocks {
+			t.Errorf("%s: validatePrefix = (%d, %d, %v), want (%d, %d)", what, off, blocks, err, wantOff, wantBlocks)
+		}
+	}
+	check("intact", clean)
+	for _, at := range []int{0, 1, 4, 8, 9, 50008, 50009, 50013, 50018, validateBuf - 1, validateBuf, 2*validateBuf + 5, len(clean) - 1} {
+		bad := append([]byte(nil), clean...)
+		bad[at] ^= 0x20
+		check(fmt.Sprintf("byte %d flipped", at), bad)
+	}
+	for _, n := range []int{1, 8, 9, 50009, 50010, validateBuf, validateBuf + 9, len(clean) - 1} {
+		check(fmt.Sprintf("torn at %d", n), clean[:n])
+	}
+
+	// The last segment's bad frame is a torn tail: truncated at its start.
+	bad := append([]byte(nil), clean...)
+	bad[frameOverhead+50000+frameOverhead+validateBuf+3] ^= 0x20
+	if err := os.WriteFile(seg1, bad, 0o600); err != nil {
+		t.Fatal(err)
+	}
+	re, err = OpenFile(dir, segCap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if re.Len() != len(sizes)-1 || re.StorageBytes() != int64(refs[6].Offset)+re.sizes[0] {
+		t.Errorf("torn tail: Len %d, StorageBytes %d", re.Len(), re.StorageBytes())
+	}
+	re.Close()
+	if info, err := os.Stat(seg1); err != nil || info.Size() != int64(refs[6].Offset) {
+		t.Errorf("last segment not truncated to %d: %v %v", refs[6].Offset, info.Size(), err)
+	}
+
+	// A bad frame in a non-last segment is corruption, not a torn tail.
+	raw, err := os.ReadFile(seg0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw[int(refs[2].Offset)+frameOverhead+2*validateBuf+1] ^= 0x20
+	if err := os.WriteFile(seg0, raw, 0o600); err != nil {
+		t.Fatal(err)
+	}
+	_, err = OpenFile(dir, segCap)
+	if !errors.Is(err, ErrCorrupt) || !strings.Contains(err.Error(), fmt.Sprintf("offset %d", refs[2].Offset)) {
+		t.Errorf("bad frame in a non-last segment: %v", err)
 	}
 }

@@ -1,8 +1,10 @@
 package blockstore
 
 import (
+	"bufio"
 	"encoding/binary"
 	"fmt"
+	"hash/crc32"
 	"io"
 	"os"
 	"path/filepath"
@@ -70,11 +72,11 @@ func (f *File) recover() error {
 	f.sizes = make([]int64, len(names))
 	for i, name := range names {
 		path := filepath.Join(f.dir, name)
-		valid, blocks, err := validatePrefix(f.fs, path)
+		info, err := f.fs.Stat(path)
 		if err != nil {
 			return fmt.Errorf("blockstore: recovering %s: %w", name, err)
 		}
-		info, err := f.fs.Stat(path)
+		valid, blocks, err := validatePrefix(f.fs, path, info.Size())
 		if err != nil {
 			return fmt.Errorf("blockstore: recovering %s: %w", name, err)
 		}
@@ -121,24 +123,58 @@ func listSegments(fsys faultfs.FS, dir string) ([]string, error) {
 	return names, nil
 }
 
+// validateBuf bounds the memory validatePrefix streams a segment through.
+const validateBuf = 256 << 10
+
 // validatePrefix returns the byte length of the valid frame prefix of the
-// segment file and the number of complete frames in it.
-func validatePrefix(fsys faultfs.FS, path string) (int64, int, error) {
-	data, err := fsys.ReadFile(path)
+// segment file, size bytes long, and the number of complete frames in it.
+// The segment is streamed through a bounded buffer: each frame's header is
+// checked and its payload's CRC folded in as the bytes go past, so no frame
+// — and no segment — is ever held whole.
+func validatePrefix(fsys faultfs.FS, path string, size int64) (int64, int, error) {
+	file, err := fsys.OpenFile(path, os.O_RDONLY, 0)
 	if err != nil {
 		return 0, 0, err
 	}
-	off := 0
-	blocks := 0
-	for off < len(data) {
-		_, n, err := decodeFrame(data[off:])
-		if err != nil {
-			return int64(off), blocks, nil // torn/corrupt tail starts here
+	defer file.Close()
+	br := bufio.NewReaderSize(io.NewSectionReader(file, 0, size), validateBuf)
+	var (
+		off    int64
+		blocks int
+		hdr    [frameOverhead]byte
+	)
+	// A short read ends the valid prefix (the torn/corrupt tail starts at
+	// off); any other read error fails the validation.
+	end := func(err error) (int64, int, error) {
+		if err == io.EOF || err == io.ErrUnexpectedEOF {
+			return off, blocks, nil
 		}
-		off += n
+		return 0, 0, err
+	}
+	for {
+		if _, err := io.ReadFull(br, hdr[:]); err != nil {
+			return end(err)
+		}
+		n := int64(binary.BigEndian.Uint32(hdr[1:5]))
+		if hdr[0] != frameMagic || off+frameOverhead+n > size {
+			return off, blocks, nil
+		}
+		var crc uint32
+		for left := int(n); left > 0; {
+			chunk, err := br.Peek(min(left, validateBuf))
+			if err != nil {
+				return end(err)
+			}
+			crc = crc32.Update(crc, castagnoli, chunk)
+			left -= len(chunk)
+			_, _ = br.Discard(len(chunk)) // cannot fail: chunk was just peeked
+		}
+		if crc != binary.BigEndian.Uint32(hdr[5:9]) {
+			return off, blocks, nil
+		}
+		off += frameOverhead + n
 		blocks++
 	}
-	return int64(off), blocks, nil
 }
 
 func (f *File) openSegment(i int) error {

@@ -438,10 +438,14 @@ func (v *Vault) Len() int {
 	return n
 }
 
-// StorageBytes reports bytes consumed by ciphertext plus the index's stored
-// form — the cost-experiment accounting.
+// StorageBytes reports the bytes the vault stores for its records — the
+// cost-experiment accounting (E9): the ciphertext, the audit and custody
+// logs, the wrapped-DEK keystore, the Merkle leaf hashes and the index's
+// stored form.
 func (v *Vault) StorageBytes() int64 {
-	return v.blocks.StorageBytes() + int64(v.idx.StorageBytes())
+	return v.blocks.StorageBytes() + v.auditStore.StorageBytes() + v.provStore.StorageBytes() +
+		int64(len(v.keys.Snapshot())) + int64(v.log.Size())*merkle.HashSize +
+		int64(v.idx.StorageBytes())
 }
 
 // Close flushes state and releases resources. For durable vaults it writes

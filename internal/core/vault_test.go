@@ -90,6 +90,27 @@ func TestPutGetRoundTrip(t *testing.T) {
 	}
 }
 
+// TestStorageBytesCountsAuditAndCustody: a read stores nothing but its
+// audit event, and that event is storage the vault pays for.
+func TestStorageBytesCountsAuditAndCustody(t *testing.T) {
+	ctx := context.Background()
+	v, _ := newVault(t)
+	rec := clinicalRecord(t, 1)
+	if _, err := v.PutCtx(ctx, "dr-house", rec); err != nil {
+		t.Fatal(err)
+	}
+	before := v.StorageBytes()
+	if floor := v.blocks.StorageBytes() + v.auditStore.StorageBytes() + v.provStore.StorageBytes(); before < floor {
+		t.Errorf("StorageBytes = %d, below ciphertext + audit + custody = %d", before, floor)
+	}
+	if _, _, err := v.GetCtx(ctx, "dr-house", rec.ID); err != nil {
+		t.Fatal(err)
+	}
+	if after := v.StorageBytes(); after <= before {
+		t.Errorf("StorageBytes %d -> %d across a read that appended an audit event", before, after)
+	}
+}
+
 func TestPutDuplicateAndInvalid(t *testing.T) {
 	ctx := context.Background()
 	v, _ := newVault(t)

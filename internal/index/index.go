@@ -93,7 +93,9 @@ func (p *Plaintext) SearchAll(keywords ...string) []string {
 		}
 		sets = append(sets, set)
 	}
-	return intersect(sets)
+	out := intersect(sets)
+	sort.Strings(out)
+	return out
 }
 
 // Remove implements Index.
@@ -122,9 +124,10 @@ func (p *Plaintext) Len() int {
 	return len(p.docs)
 }
 
-// intersect returns the sorted intersection of posting sets. Scanning the
-// smallest set bounds the work by the rarest keyword's selectivity.
-func intersect(sets []map[string]bool) []string {
+// intersect returns the intersection of posting sets, unsorted, nil if
+// it is empty. Scanning the smallest set bounds the work by the rarest
+// keyword's selectivity.
+func intersect[K comparable, V any](sets []map[K]V) []K {
 	if len(sets) == 0 {
 		return nil
 	}
@@ -134,17 +137,16 @@ func intersect(sets []map[string]bool) []string {
 			smallest = s
 		}
 	}
-	var out []string
+	var out []K
 outer:
-	for id := range smallest {
+	for k := range smallest {
 		for _, s := range sets {
-			if !s[id] {
+			if _, ok := s[k]; !ok {
 				continue outer
 			}
 		}
-		out = append(out, id)
+		out = append(out, k)
 	}
-	sort.Strings(out)
 	return out
 }
 

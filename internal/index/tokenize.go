@@ -16,6 +16,7 @@ package index
 import (
 	"strings"
 	"unicode"
+	"unicode/utf8"
 )
 
 // stopwords are high-frequency English terms excluded from the index; they
@@ -29,21 +30,41 @@ var stopwords = map[string]bool{
 }
 
 // Tokenize normalizes text into the keyword set to be indexed: lower-cased,
-// punctuation-split, stopwords and single characters removed, deduplicated.
-// Order is not meaningful; the result is a set rendered as a slice.
+// split on every rune that is neither a letter nor a number, stopwords and
+// one-byte words removed, deduplicated in order of first occurrence. Order
+// is not meaningful to the index; the result is a set rendered as a slice.
+//
+// It is one pass: each rune is lowered into a reused buffer, and a word is
+// allocated only the first time it is seen.
 func Tokenize(text string) []string {
-	seen := make(map[string]bool)
-	var out []string
-	for _, field := range strings.FieldsFunc(text, func(r rune) bool {
-		return !unicode.IsLetter(r) && !unicode.IsNumber(r)
-	}) {
-		w := strings.ToLower(field)
-		if len(w) < 2 || stopwords[w] || seen[w] {
-			continue
+	var (
+		out  []string
+		seen = make(map[string]struct{})
+		arr  [64]byte
+	)
+	word := arr[:0]
+	// A stopword goes into seen too, so every repeat of any word costs
+	// one lookup.
+	flush := func() {
+		if len(word) >= 2 {
+			if _, dup := seen[string(word)]; !dup {
+				w := string(word)
+				seen[w] = struct{}{}
+				if !stopwords[w] {
+					out = append(out, w)
+				}
+			}
 		}
-		seen[w] = true
-		out = append(out, w)
+		word = word[:0]
 	}
+	for _, r := range text {
+		if unicode.IsLetter(r) || unicode.IsNumber(r) {
+			word = utf8.AppendRune(word, unicode.ToLower(r))
+		} else if len(word) > 0 {
+			flush()
+		}
+	}
+	flush()
 	return out
 }
 
